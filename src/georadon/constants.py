@@ -1,5 +1,6 @@
-"""Closed-form constants: sphere areas, inversion constants, and the small
-kernel integrals (c_k, Theta) shared by the reduction formulas."""
+"""Closed-form constants: inversion constants, the profile weight, and the
+small kernel integrals (c_k, Theta) shared by the reduction formulas. The
+sphere areas live in `geometry` and are re-exported here."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, SPHERE, Space
+from .geometry import SPHERE, Space, check_distance, gamma_half, sphere_area
 from .numerics import integrate_gl
 
 __all__ = [
@@ -22,7 +23,7 @@ __all__ = [
     "lambda_weight",
     "c_k_value",
     "theta_k",
-    "theta_poly",
+    "theta_sinh",
     "theta_poly_coeffs",
     "classical_log_constant",
     "classical_sgn_constant",
@@ -46,29 +47,6 @@ class InversionConstant:
 
 def _sign(j: int) -> float:
     return 1.0 if j % 2 == 0 else -1.0
-
-
-def gamma_half(x: float) -> float:
-    """Gamma(x), exact for integer and half-integer arguments.
-
-    Gamma(p) = (p-1)! and Gamma(p + 1/2) = (2p)! sqrt(pi) / (4^p p!); other
-    arguments fall back to math.gamma (relative error a few ulp).
-    """
-    two_x = 2.0 * x
-    if two_x == int(two_x) and x > 0.0:
-        m = int(two_x)
-        if m % 2 == 0:
-            return float(math.factorial(m // 2 - 1))
-        p = (m - 1) // 2
-        return math.factorial(2 * p) * math.sqrt(math.pi) / (4.0 ** p * math.factorial(p))
-    return math.gamma(x)
-
-
-def sphere_area(m: int) -> float:
-    """Surface area sigma_m of the unit sphere S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    if m < 0:
-        raise ValueError("sphere dimension must be nonnegative")
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / gamma_half((m + 1) / 2.0)
 
 
 def inversion_constant(space: Space, kind: str,
@@ -105,9 +83,8 @@ def inversion_constant(space: Space, kind: str,
     elif kind == SHIFTED_DUAL:
         if k % 2 != 0:
             raise ValueError("the shifted-dual pipeline requires even k")
-        value = _sign(k // 2) * fact * sphere_area(k - 1)
-        if space.kind == SPHERE:
-            value *= 2.0
+        # a great k-sphere near x passes as near -x: S^n sees f(x) + f(-x)
+        value = _sign(k // 2) * fact * sphere_area(k - 1) * space.curvature.folds
     else:
         raise ValueError(f"unknown inversion kind {kind!r}")
     return InversionConstant(value=value, kind=kind, space_kind=space.kind,
@@ -115,16 +92,11 @@ def inversion_constant(space: Space, kind: str,
 
 
 def lambda_weight(space: Space, r):
-    """Profile weight: 1, (1-r^2)^((k-1)/2), or (1+r^2)^((k-1)/2)."""
+    """Profile weight cs^(k-1) at sn = r: (1 - kappa r^2)^((k-1)/2), that is
+    1, (1-r^2)^((k-1)/2), or (1+r^2)^((k-1)/2)."""
     r = np.asarray(r, dtype=float)
-    if space.kind == EUCLIDEAN:
-        out = np.ones_like(r)
-    elif space.kind == SPHERE:
-        if np.any(r >= 1.0):
-            raise ValueError("sphere requires r < 1")
-        out = (1.0 - r * r) ** ((space.k - 1) / 2.0)
-    else:
-        out = (1.0 + r * r) ** ((space.k - 1) / 2.0)
+    check_distance(space, r)
+    out = (1.0 - space.curvature.kappa * r * r) ** ((space.k - 1) / 2.0)
     return out if out.ndim else float(out)
 
 
@@ -135,24 +107,13 @@ def c_k_value(k: int) -> float:
     return math.sqrt(math.pi) * gamma_half(k / 2.0) / (2.0 * gamma_half((k + 1) / 2.0))
 
 
-def theta_poly(k: int, u):
-    """Polynomial continuation of int_1^u (v^2-1)^(k/2-1) dv for even k.
+def theta_poly_coeffs(k: int) -> np.ndarray:
+    """Ascending coefficients of the polynomial continuation of
+    int_1^u (v^2-1)^(k/2-1) dv for even k.
 
     The integrand is a polynomial when k is even, so the primitive is a
-    polynomial valid for every u (used by the sgn kernel on (0, 1))."""
-    if k % 2 != 0 or k < 2:
-        raise ValueError("theta_poly requires even k >= 2")
-    u = np.asarray(u, dtype=float)
-    p = k // 2 - 1
-    out = np.zeros_like(u)
-    for j in range(p + 1):
-        coef = math.comb(p, j) * _sign(p - j) / (2 * j + 1)
-        out = out + coef * (u ** (2 * j + 1) - 1.0)
-    return out if out.ndim else float(out)
-
-
-def theta_poly_coeffs(k: int) -> np.ndarray:
-    """Ascending coefficients of the degree-(k-1) polynomial theta_poly (even k)."""
+    degree-(k-1) polynomial valid for every u (the sgn kernel uses it on
+    (0, 1))."""
     if k % 2 != 0 or k < 2:
         raise ValueError("theta_poly_coeffs requires even k >= 2")
     p = k // 2 - 1
@@ -167,24 +128,29 @@ def theta_poly_coeffs(k: int) -> np.ndarray:
 def theta_k(u: float, k: int) -> float:
     """The incomplete integral int_1^u (v^2-1)^(k/2-1) dv for u >= 1.
 
-    Closed forms for k <= 4; even k > 4 uses the exact polynomial; odd k > 4
-    integrates sinh^(k-1) after v = cosh(w)."""
+    Even k evaluates the exact polynomial; odd k is theta_sinh at
+    w = acosh(u)."""
     if u < 1.0:
         raise ValueError("theta_k requires u >= 1")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if k == 1:
-        return math.acosh(u)
-    if k == 2:
-        return u - 1.0
-    if k == 3:
-        return 0.5 * (u * math.sqrt(max(0.0, u * u - 1.0)) - math.acosh(u))
-    if k == 4:
-        return u ** 3 / 3.0 - u + 2.0 / 3.0
     if k % 2 == 0:
-        return float(theta_poly(k, u))
-    w = math.acosh(u)
-    return integrate_gl(lambda y: np.sinh(y) ** (k - 1), 0.0, w, n=64, panels=2)
+        return float(np.polynomial.polynomial.polyval(u, theta_poly_coeffs(k)))
+    return float(theta_sinh(k, math.acosh(u)))
+
+
+def theta_sinh(k: int, w):
+    """int_0^w sinh^(k-1), that is theta_k at u = cosh(w), vectorized over w.
+
+    Closed forms for k = 1 and 3; other k integrate numerically."""
+    w = np.asarray(w, dtype=float)
+    if k == 1:
+        return w.copy()
+    if k == 3:
+        return 0.5 * (np.sinh(w) * np.cosh(w) - w)
+    out = [integrate_gl(lambda y: np.sinh(y) ** (k - 1), 0.0, float(wi),
+                        n=64, panels=2) for wi in w.flat]
+    return np.reshape(out, w.shape)
 
 
 def classical_sgn_constant(n: int) -> float:

@@ -16,15 +16,15 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constants import c_k_value, sphere_area, theta_k, theta_poly_coeffs
+from .constants import c_k_value, theta_poly_coeffs, theta_sinh
 from .fields import ScalarField
-from .geometry import (EUCLIDEAN, HYPERBOLIC, SPHERE, Geodesic, Point,
-                       Rotation, Space, base_point, distance_rho, g_theta,
-                       geodesic_at_distance, haar_orthogonal, point,
-                       transport_to)
+from .geometry import (Geodesic, Point, Space, base_point, center_distance,
+                       check_distance, distance_rho, g_theta,
+                       geodesic_at_distance, haar_orthogonal, haar_stabilizer,
+                       point, sphere_area, transport_to)
 from .kernels import psi_poly_coeffs
 from .numerics import gl_nodes, quad_log_singular
-from .transforms import radon_forward, spherical_mean
+from .transforms import radon_forward, spherical_mean, tilde_mean
 
 __all__ = [
     "DualConfig",
@@ -50,7 +50,6 @@ class DualConfig:
     truncation: float | None = None  # upper limit replacing infinity
     seed: int = 0
     mean_polar: int = 64
-    mean_azimuth: int | None = None
     forward_nodes: int = 64
 
     def __post_init__(self):
@@ -71,164 +70,99 @@ class BothSides(NamedTuple):
     rhs: float
 
 
-def _center_distance(space: Space, f: ScalarField, x: Point) -> float:
-    c = f.center if f.center is not None else base_point(space).coords
-    if space.kind == EUCLIDEAN:
-        return float(np.linalg.norm(x.coords - c))
-    if space.kind == HYPERBOLIC:
-        q = float(x.coords[-1] * c[-1] - x.coords[:-1] @ c[:-1])
-        return math.acosh(max(1.0, q))
-    return float(np.arccos(np.clip(x.coords @ c, -1.0, 1.0)))
+def _mc_estimate(vals: np.ndarray) -> McEstimate:
+    return McEstimate(float(vals.mean()),
+                      float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
 
 def _radial_cap(space: Space, f: ScalarField, x: Point, cfg: DualConfig) -> float:
-    """Geodesic radius around x beyond which the means of f are negligible."""
+    """Geodesic radius around x beyond which the means of f are negligible,
+    at most the diameter of the space (pi on the sphere)."""
+    model = space.curvature
+    diameter = model.folds * model.rho_max
     if cfg.truncation is not None:
-        return cfg.truncation
-    if not math.isfinite(f.decay_scale):
-        raise ValueError("field without decay needs an explicit truncation")
-    return f.decay_scale + _center_distance(space, f, x) + 0.25
-
-
-def _plain_mean(space: Space, f: ScalarField, x: Point, cfg: DualConfig):
-    def mt(ts):
-        return spherical_mean(space, f, x, ts, cfg.mean_polar, cfg.mean_azimuth)
-    return mt
-
-
-def _tilde_mean_vec(space: Space, f: ScalarField, x: Point, cfg: DualConfig):
-    mt = _plain_mean(space, f, x, cfg)
-    if space.kind == EUCLIDEAN:
-        return mt
-    if space.kind == SPHERE:
-        def tv(ts):
-            ts = np.asarray(ts, dtype=float)
-            s = np.sqrt(1.0 - ts * ts)
-            return mt(s) / s
-        return tv
-
-    def tv(ts):
-        ts = np.asarray(ts, dtype=float)
-        s = np.sqrt(1.0 + ts * ts)
-        return mt(s) / s
-    return tv
+        return min(cfg.truncation, diameter)
+    if math.isfinite(f.decay_scale):
+        c = f.center if f.center is not None else base_point(space).coords
+        return min(f.decay_scale + center_distance(space, x.coords, c) + 0.25,
+                   diameter)
+    if math.isfinite(diameter):
+        return diameter
+    raise ValueError("field without decay needs an explicit truncation")
 
 
 def dual_shifted_mean(space: Space, f: ScalarField, x: Point, r: float,
                       cfg: DualConfig | None = None) -> float:
     """R*_r applied to the forward transform of f, via the mean reduction.
 
-    Euclidean: sig_{k-1} int_r^inf M_t (t^2-r^2)^(k/2-1) t dt, regularized by
-    t = sqrt(r^2 + w^2). Sphere and hyperbolic use the equivalent angle and
-    rapidity substitutions, which also absorb the section-mean prefactors.
+    Every geodesic at distance theta = asn(r) from x meets the perpendicular
+    from x at a foot point; its points at distance v from the foot lie at
+    the hypotenuse distance of the right triangle (theta, v) from x, so
+    R*_r = sig_{k-1} int M(hypot_t(theta, v)) sn(v)^(k-1) dv. On R^n this is
+    the substitution t = sqrt(r^2 + v^2) of the t-integral; on S^n v runs
+    over the whole great k-sphere, (0, pi).
     """
     cfg = cfg or DualConfig()
+    check_distance(space, r)
+    model = space.curvature
     k = space.k
-    sig = sphere_area(k - 1)
-    nq = cfg.quad_nodes
-    mt = _plain_mean(space, f, x, cfg)
-    if space.kind == EUCLIDEAN:
-        if r < 0.0:
-            raise ValueError("r must be nonnegative")
-        cap = _radial_cap(space, f, x, cfg)
-        w_hi = math.sqrt(max(cap * cap - r * r, 0.0))
-        if w_hi == 0.0:
-            return 0.0
-        w, ww = gl_nodes(0.0, w_hi, nq, panels=2)
-        return sig * float(np.dot(ww, mt(np.sqrt(r * r + w * w)) * w ** (k - 1)))
-    if space.kind == SPHERE:
-        if not 0.0 <= r < 1.0:
-            raise ValueError("sphere requires 0 <= r < 1")
-        cos_th = math.sqrt(1.0 - r * r)
-        om, wo = gl_nodes(0.0, 0.5 * math.pi, nq, panels=2)
-        vals = mt(cos_th * np.sin(om)) * np.cos(om) ** (k - 1)
-        return 2.0 * sig * float(np.dot(wo, vals))
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
-    tau = math.sqrt(1.0 + r * r)
-    cap = _radial_cap(space, f, x, cfg)
-    v_hi = math.acosh(max(1.0, math.cosh(cap) / tau))
+    theta = float(model.asn(r))
+    v_hi = model.leg(_radial_cap(space, f, x, cfg), theta)
     if v_hi == 0.0:
         return 0.0
-    v, wv = gl_nodes(0.0, v_hi, nq, panels=2)
-    vals = mt(tau * np.cosh(v)) * np.sinh(v) ** (k - 1)
-    return sig * float(np.dot(wv, vals))
+    v, wv = gl_nodes(0.0, v_hi, cfg.quad_nodes, panels=2)
+    vals = spherical_mean(space, f, x, model.hypot_t(theta, v), cfg.mean_polar) \
+        * model.sn(v) ** (k - 1)
+    return sphere_area(k - 1) * float(np.dot(wv, vals))
 
 
 def dual_shifted_mc(space: Space, phi: Callable[[Geodesic], float], x: Point,
                     r: float, cfg: DualConfig | None = None) -> McEstimate:
     """Monte Carlo average of phi over geodesics at distance value r from x."""
     cfg = cfg or DualConfig()
-    if space.kind == SPHERE and r >= 1.0:
-        raise ValueError("sphere requires r < 1")
     rng = np.random.default_rng(cfg.seed)
     vals = np.empty(cfg.mc_samples)
     for i in range(cfg.mc_samples):
-        rot = _stabilizer_rotation(space, rng)
+        rot = haar_stabilizer(space, rng)
         vals[i] = phi(geodesic_at_distance(space, x, r, rot))
-    return McEstimate(float(vals.mean()),
-                      float(vals.std(ddof=1) / math.sqrt(cfg.mc_samples)))
-
-
-def _stabilizer_rotation(space: Space, rng: np.random.Generator) -> Rotation:
-    q = haar_orthogonal(space.n, rng)
-    if space.kind == EUCLIDEAN:
-        return Rotation(q)
-    m = np.eye(space.n + 1)
-    m[:space.n, :space.n] = q
-    return Rotation(m)
+    return _mc_estimate(vals)
 
 
 class _Reduction:
-    """Shared moment integrals of the mean line for the operator reductions."""
+    """Shared moment integrals of the mean line for the operator reductions.
+
+    moments[j] = int_0^hi M(mean_t(rho)) sn(rho)^(k-j) d rho, the integral of
+    mtilde(t) t^(k-j) dt in the distance value t = sn(rho). On S^n the radii
+    stop at pi/2, and the prefactor counts the far hemisphere as a copy of
+    the near one, which holds for even f.
+    """
 
     def __init__(self, space: Space, f: ScalarField, x: Point, cfg: DualConfig,
                  need_log_moment: bool):
-        self.space = space
-        self.f = f
-        self.x = x
         self.cfg = cfg
         k = space.k
         self.k = k
-        n = space.n
-        if space.kind == SPHERE:
-            self.pref = 2.0 * sphere_area(n - k - 1) * sphere_area(k) \
-                * sphere_area(k - 1) / sphere_area(n)
-        else:
-            self.pref = sphere_area(n - k - 1) * sphere_area(k - 1)
-        mt = _plain_mean(space, f, x, cfg)
-        nq = cfg.quad_nodes
-        # master grid in the substituted variable; moments[j] = int mtilde t^(k-j) dt
-        if space.kind == EUCLIDEAN:
-            cap = _radial_cap(space, f, x, cfg)
-            tq, wq = gl_nodes(0.0, cap, nq, panels=4)
-            mvals = mt(tq)
-            basis = tq
-            self._log_moment_integrand = lambda t: mt(t) * t ** k * np.log(t)
-            self._log_upper = cap
-        elif space.kind == SPHERE:
-            om, wq = gl_nodes(0.0, 0.5 * math.pi, nq, panels=4)
-            mvals = mt(np.cos(om))
-            basis = np.sin(om)
-            self._log_moment_integrand = \
-                lambda o: mt(np.cos(o)) * np.sin(o) ** k * np.log(np.sin(o))
-            self._log_upper = 0.5 * math.pi
-        else:
-            cap = _radial_cap(space, f, x, cfg)
-            vv, wq = gl_nodes(0.0, cap, nq, panels=4)
-            mvals = mt(np.cosh(vv))
-            basis = np.sinh(vv)
-            self._log_moment_integrand = \
-                lambda v: mt(np.cosh(v)) * np.sinh(v) ** k * np.log(np.sinh(v))
-            self._log_upper = cap
+        model = space.curvature
+        self.pref = model.folds * space.measure_scale \
+            * sphere_area(space.n - k - 1) * sphere_area(k - 1)
+
+        def mt(ts):
+            return spherical_mean(space, f, x, ts, cfg.mean_polar)
+
+        hi = min(_radial_cap(space, f, x, cfg), model.rho_max)
+        rho, wq = gl_nodes(0.0, hi, cfg.quad_nodes, panels=4)
+        mvals = mt(model.mean_t(rho))
+        sn = model.sn(rho)
         self.moments = np.array(
-            [float(np.dot(wq, mvals * basis ** (k - j))) for j in range(k)])
-        self.tilde = _tilde_mean_vec(space, f, x, cfg)
+            [float(np.dot(wq, mvals * sn ** (k - j))) for j in range(k)])
+        self.tilde = lambda ts: tilde_mean(space, f, x, ts, cfg.mean_polar)
         self.log_moment = None
         if need_log_moment:
-            self.log_moment = quad_log_singular(
-                self._log_moment_integrand, 0.0, self._log_upper, s=0.0,
-                target=1e-11)
+            def integrand(rho):
+                sn = model.sn(rho)
+                return mt(model.mean_t(rho)) * sn ** k * np.log(sn)
+            self.log_moment = quad_log_singular(integrand, 0.0, hi, s=0.0,
+                                                target=1e-11)
 
     def cusp_even(self, r: float, coeffs: np.ndarray) -> float:
         # int_0^r mtilde(t) t^k ThetaPoly(r/t) dt; substituting t = r tau turns
@@ -244,25 +178,15 @@ class _Reduction:
                 out += cj * float(np.dot(wt, mv * tau ** (k - j)))
         return r ** (k + 1) * out
 
-
-def _theta_incomplete_vec(k: int, w: np.ndarray) -> np.ndarray:
-    # int_0^w sinh^(k-1), i.e. theta_k at cosh(w), vectorized for odd k
-    if k == 1:
-        return w.copy()
-    if k == 3:
-        return 0.5 * (np.sinh(w) * np.cosh(w) - w)
-    return np.array([theta_k(math.cosh(wi), k) for wi in w])
-
-
-def _cusp_odd(red: _Reduction, r: float) -> float:
-    # int_0^r mtilde(t) t^k Theta(r/t) dt via t = r / cosh(w)
-    if r == 0.0:
-        return 0.0
-    k = red.k
-    w, ww = gl_nodes(0.0, 18.0, red.cfg.quad_nodes, panels=3)
-    ch = np.cosh(w)
-    vals = red.tilde(r / ch) * _theta_incomplete_vec(k, w) * np.sinh(w) / ch ** (k + 2)
-    return r ** (k + 1) * float(np.dot(ww, vals))
+    def cusp_odd(self, r: float) -> float:
+        # int_0^r mtilde(t) t^k Theta(r/t) dt via t = r / cosh(w)
+        if r == 0.0:
+            return 0.0
+        k = self.k
+        w, ww = gl_nodes(0.0, 18.0, self.cfg.quad_nodes, panels=3)
+        ch = np.cosh(w)
+        vals = self.tilde(r / ch) * theta_sinh(k, w) * np.sinh(w) / ch ** (k + 2)
+        return r ** (k + 1) * float(np.dot(ww, vals))
 
 
 def l_star_profile(space: Space, f: ScalarField, x: Point, rs,
@@ -273,8 +197,7 @@ def l_star_profile(space: Space, f: ScalarField, x: Point, rs,
     if k % 2 != 0:
         raise ValueError("the sgn operator requires even k")
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    if space.kind == SPHERE and np.any(rs >= 1.0):
-        raise ValueError("sphere requires r < 1")
+    check_distance(space, rs)
     red = _Reduction(space, f, x, cfg, need_log_moment=False)
     theta_c = theta_poly_coeffs(k)
     sign = 1.0 if (k // 2) % 2 == 0 else -1.0
@@ -301,8 +224,7 @@ def l_tilde_star_profile(space: Space, f: ScalarField, x: Point, rs,
     if k % 2 != 1:
         raise ValueError("the log operator requires odd k")
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    if space.kind == SPHERE and np.any(rs >= 1.0):
-        raise ValueError("sphere requires r < 1")
+    check_distance(space, rs)
     red = _Reduction(space, f, x, cfg, need_log_moment=True)
     pcoef = psi_poly_coeffs(k)
     a_term = 2.0 * c_k_value(k) * red.log_moment
@@ -311,9 +233,8 @@ def l_tilde_star_profile(space: Space, f: ScalarField, x: Point, rs,
     for i, r in enumerate(rs):
         b_term = 0.0
         for j in range(k):
-            if pcoef[j] != 0.0:
-                b_term += pcoef[j] * r ** j * red.moments[j]
-        b_term += math.pi * sign * _cusp_odd(red, r)
+            b_term += pcoef[j] * r ** j * red.moments[j]
+        b_term += math.pi * sign * red.cusp_odd(r)
         out[i] = red.pref * (a_term + b_term)
     return out
 
@@ -327,15 +248,12 @@ def Lambda_r(space: Space, f: ScalarField, x: Point, r: float, k: int,
              cfg: DualConfig | None = None) -> float:
     """int_0^r mtilde_t(x) (r^2 - t^2)^(k/2-1) t dt, via t = r sin(omega)."""
     cfg = cfg or DualConfig()
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
-    if space.kind == SPHERE and r >= 1.0:
-        raise ValueError("sphere requires r < 1")
+    check_distance(space, r)
     if r == 0.0:
         return 0.0
-    tv = _tilde_mean_vec(space, f, x, cfg)
     om, wo = gl_nodes(0.0, 0.5 * math.pi, cfg.quad_nodes, panels=1)
-    vals = tv(r * np.sin(om)) * np.cos(om) ** (k - 1) * np.sin(om)
+    vals = tilde_mean(space, f, x, r * np.sin(om), cfg.mean_polar) \
+        * np.cos(om) ** (k - 1) * np.sin(om)
     return r ** k * float(np.dot(wo, vals))
 
 
@@ -356,8 +274,7 @@ def _lhs_euclidean(space: Space, phi, a, x: Point, cfg: DualConfig,
         rho = distance_rho(space, x, xi)
         dens = math.exp(log_norm - 0.5 * float(z @ z) / proposal_std ** 2)
         vals[i] = phi(xi) * a(rho) / dens
-    return McEstimate(float(vals.mean()),
-                      float(vals.std(ddof=1) / math.sqrt(cfg.mc_samples)))
+    return _mc_estimate(vals)
 
 
 def _lhs_sphere(space: Space, phi, a, x: Point, cfg: DualConfig) -> McEstimate:
@@ -369,8 +286,7 @@ def _lhs_sphere(space: Space, phi, a, x: Point, cfg: DualConfig) -> McEstimate:
         q = haar_orthogonal(space.n + 1, rng)
         xi = Geodesic(q[:, :k + 1], None)
         vals[i] = phi(xi) * a(distance_rho(space, x, xi))
-    return McEstimate(float(vals.mean()),
-                      float(vals.std(ddof=1) / math.sqrt(cfg.mc_samples)))
+    return _mc_estimate(vals)
 
 
 def _lhs_hyperbolic(space: Space, phi, a, x: Point, cfg: DualConfig,
@@ -380,26 +296,23 @@ def _lhs_hyperbolic(space: Space, phi, a, x: Point, cfg: DualConfig,
     # distance-to-x disintegration under test
     rng = np.random.default_rng(cfg.seed + 1)
     n, k = space.n, space.k
-    anchor_dist = 0.8
-    z = np.zeros(n + 1)
-    z[0] = math.sinh(anchor_dist)
-    z[-1] = math.cosh(anchor_dist)
-    if np.allclose(z, x.coords, atol=1e-6):
+    # the anchor lies at distance 0.8 from the base point, or 1.3 if x is there
+    for anchor_dist in (0.8, 1.3):
         z = np.zeros(n + 1)
-        z[0] = math.sinh(1.3)
-        z[-1] = math.cosh(1.3)
+        z[0], z[-1] = math.sinh(anchor_dist), math.cosh(anchor_dist)
+        if not np.allclose(z, x.coords, atol=1e-6):
+            break
     rz = transport_to(space, point(space, z))
     sig = sphere_area(n - k - 1)
     vals = np.empty(cfg.mc_samples)
     for i in range(cfg.mc_samples):
         th = theta_max * rng.random()
-        gam = _stabilizer_rotation(space, rng)
+        gam = haar_stabilizer(space, rng)
         m = rz @ gam.matrix @ g_theta(space, -th)
         xi = Geodesic(m[:, n - k:], None)
         nu = math.sinh(th) ** (n - k - 1) * math.cosh(th) ** k
         vals[i] = sig * theta_max * nu * phi(xi) * a(distance_rho(space, x, xi))
-    return McEstimate(float(vals.mean()),
-                      float(vals.std(ddof=1) / math.sqrt(cfg.mc_samples)))
+    return _mc_estimate(vals)
 
 
 def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
@@ -409,51 +322,32 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
 
     Left side: Monte Carlo over the submanifold space with an independent
     sampler (never the distance-to-x disintegration). Right side: quadrature
-    of the weighted one-dimensional reduction of R*_r. `a_breaks` lists
-    discontinuities of a for the quadrature split.
+    over the distance theta from x to the geodesic of
+    sn^(n-k-1) cs^k a(sn) R*_sn, with sn, cs at theta. `a_breaks` lists
+    discontinuities of a (as distance values) for the quadrature split.
     """
     cfg = cfg or DualConfig()
     n, k = space.n, space.k
+    model = space.curvature
 
     def phi(xi):
         return radon_forward(space, f, xi, nodes=cfg.forward_nodes)
 
-    def rstar(r):
-        return dual_shifted_mean(space, f, x, r, cfg)
-
-    nq = cfg.quad_nodes
-    if space.kind == EUCLIDEAN:
-        cap = _radial_cap(space, f, x, cfg) + abs(
-            float(np.linalg.norm(x.coords))) + 1.0
+    hi = min(_radial_cap(space, f, x, cfg) + 1.0, model.rho_max)
+    if space.is_euclidean:
         lhs = _lhs_euclidean(space, phi, a, x, cfg)
-        edges = sorted({0.0, cap, *(b for b in a_breaks if 0.0 < b < cap)})
-        rhs = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            rr, wr = gl_nodes(lo, hi, nq, panels=2)
-            rhs += float(np.dot(wr, [r ** (n - k - 1) * a(r) * rstar(r)
-                                     for r in rr]))
-        rhs *= sphere_area(n - k - 1)
-    elif space.kind == SPHERE:
+    elif space.is_sphere:
         lhs = _lhs_sphere(space, phi, a, x, cfg)
-        edges = sorted({0.0, 0.5 * math.pi,
-                        *(math.asin(b) for b in a_breaks if 0.0 < b < 1.0)})
-        rhs = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            th, wt = gl_nodes(lo, hi, nq, panels=2)
-            vals = [math.cos(t) ** k * math.sin(t) ** (n - k - 1)
-                    * a(math.sin(t)) * rstar(math.sin(t)) for t in th]
-            rhs += float(np.dot(wt, vals))
-        rhs *= sphere_area(n - k - 1) * sphere_area(k) / sphere_area(n)
     else:
-        theta_cap = _radial_cap(space, f, x, cfg) + 1.0
-        lhs = _lhs_hyperbolic(space, phi, a, x, cfg, theta_cap)
-        edges = sorted({0.0, theta_cap,
-                        *(math.asinh(b) for b in a_breaks if b > 0.0)})
-        rhs = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            th, wt = gl_nodes(lo, hi, nq, panels=2)
-            vals = [math.sinh(t) ** (n - k - 1) * math.cosh(t) ** k
-                    * a(math.sinh(t)) * rstar(math.sinh(t)) for t in th]
-            rhs += float(np.dot(wt, vals))
-        rhs *= sphere_area(n - k - 1)
+        lhs = _lhs_hyperbolic(space, phi, a, x, cfg, hi)
+    edges = sorted({0.0, hi, *(float(model.asn(b)) for b in a_breaks
+                               if 0.0 < b < model.sn(hi))})
+    rhs = 0.0
+    for lo, up in zip(edges[:-1], edges[1:]):
+        th, wt = gl_nodes(lo, up, cfg.quad_nodes, panels=2)
+        vals = [s ** (n - k - 1) * c ** k * a(s)
+                * dual_shifted_mean(space, f, x, s, cfg)
+                for s, c in zip(model.sn(th), model.cs(th))]
+        rhs += float(np.dot(wt, vals))
+    rhs *= space.measure_scale * sphere_area(n - k - 1)
     return BothSides(lhs.value, lhs.stderr, rhs)

@@ -25,7 +25,6 @@ class ScalarField:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     decay_scale: float
-    parity_even: bool = False
     name: str = ""
     center: np.ndarray | None = None
     scale: float = 1.0
@@ -48,19 +47,16 @@ def _gaussian(space: Space, center=None) -> ScalarField:
         d = pts - c
         return np.exp(-np.sum(d * d, axis=-1))
 
-    return ScalarField(ev, decay_scale=6.0, parity_even=False,
-                       name="gaussian", center=c.copy())
+    return ScalarField(ev, decay_scale=6.0, name="gaussian", center=c.copy())
 
 
 def _constant(space: Space) -> ScalarField:
-    dim = space.ambient_dim
-
     def ev(pts):
         return np.ones(pts.shape[:-1])
 
     decay = math.pi if space.kind == SPHERE else math.inf
-    return ScalarField(ev, decay_scale=decay, parity_even=True,
-                       name="constant-even", center=base_point(space).coords)
+    return ScalarField(ev, decay_scale=decay, name="constant-even",
+                       center=base_point(space).coords)
 
 
 def _radial_hyperbolic(space: Space, power: int = 6) -> ScalarField:
@@ -74,8 +70,8 @@ def _radial_hyperbolic(space: Space, power: int = 6) -> ScalarField:
         return pts[..., -1] ** float(-power)
 
     decay = math.acosh(10.0 ** (14.0 / power))
-    return ScalarField(ev, decay_scale=decay, parity_even=False,
-                       name="radial-hyperbolic", center=base_point(space).coords)
+    return ScalarField(ev, decay_scale=decay, name="radial-hyperbolic",
+                       center=base_point(space).coords)
 
 
 def _even_poly(space: Space) -> ScalarField:
@@ -85,8 +81,8 @@ def _even_poly(space: Space) -> ScalarField:
     def ev(pts):
         return 1.0 + pts[..., 0] ** 2
 
-    return ScalarField(ev, decay_scale=math.pi, parity_even=True,
-                       name="even-poly", center=base_point(space).coords)
+    return ScalarField(ev, decay_scale=math.pi, name="even-poly",
+                       center=base_point(space).coords)
 
 
 PHANTOMS = {
@@ -116,5 +112,5 @@ def rotate_field(space: Space, f: ScalarField, matrix: np.ndarray) -> ScalarFiel
     center = None
     if f.center is not None:
         center = np.linalg.solve(m, f.center)
-    return ScalarField(ev, decay_scale=f.decay_scale, parity_even=f.parity_even,
-                       name=f.name + "|rot", center=center, scale=f.scale)
+    return ScalarField(ev, decay_scale=f.decay_scale, name=f.name + "|rot",
+                       center=center, scale=f.scale)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,6 +18,9 @@ __all__ = [
     "EUCLIDEAN",
     "SPHERE",
     "HYPERBOLIC",
+    "gamma_half",
+    "sphere_area",
+    "Curvature",
     "Space",
     "Point",
     "Geodesic",
@@ -26,8 +30,11 @@ __all__ = [
     "geodesic",
     "base_point",
     "distance_rho",
+    "check_distance",
+    "center_distance",
     "haar_orthogonal",
     "haar_rotation",
+    "haar_stabilizer",
     "g_theta",
     "transport_to",
     "geodesic_at_distance",
@@ -42,6 +49,79 @@ _KINDS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
 
 # inputs violating a model constraint beyond this are rejected, not renormalized
 _VALIDATE_TOL = 1e-8
+
+
+def gamma_half(x: float) -> float:
+    """Gamma(x), exact for integer and half-integer arguments.
+
+    Gamma(p) = (p-1)! and Gamma(p + 1/2) = (2p)! sqrt(pi) / (4^p p!); other
+    arguments fall back to math.gamma (relative error a few ulp).
+    """
+    two_x = 2.0 * x
+    if two_x == int(two_x) and x > 0.0:
+        m = int(two_x)
+        if m % 2 == 0:
+            return float(math.factorial(m // 2 - 1))
+        p = (m - 1) // 2
+        return math.factorial(2 * p) * math.sqrt(math.pi) / (4.0 ** p * math.factorial(p))
+    return math.gamma(x)
+
+
+def sphere_area(m: int) -> float:
+    """Surface area sigma_m of the unit sphere S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
+    if m < 0:
+        raise ValueError("sphere dimension must be nonnegative")
+    return 2.0 * math.pi ** ((m + 1) / 2.0) / gamma_half((m + 1) / 2.0)
+
+
+@dataclass(frozen=True)
+class Curvature:
+    """One model of R^n, S^n and H^n: curvature kappa = 0, +1 or -1.
+
+    sn(rho) is rho, sin rho or sinh rho and cs(rho) is 1, cos rho or cosh rho,
+    so cs^2 + kappa sn^2 = 1. sn maps a geodesic radius to the distance
+    function value r, and asn inverts it on [0, rho_max]. mean_t maps a radius
+    to the parameter t of `spherical_mean`: rho, cos rho or cosh rho. On the
+    sphere rho_max = pi/2 and sn takes each value at two radii, rho and
+    pi - rho, of the diameter pi.
+    """
+
+    kappa: float
+    sn: Callable
+    cs: Callable
+    asn: Callable
+    mean_t: Callable
+    rho_max: float
+    folds: int  # radii in (0, folds * rho_max) that share one value of sn
+
+    def hypot_t(self, theta, v):
+        """mean_t of the hypotenuse of a right triangle with legs theta, v."""
+        if self.kappa == 0.0:
+            return np.sqrt(theta * theta + v * v)
+        return self.cs(theta) * self.cs(v)
+
+    def leg(self, hyp: float, theta: float) -> float:
+        """The second leg of a right triangle with leg theta and hypotenuse
+        hyp; on the sphere the diameter pi when hyp is out of reach."""
+        if self.kappa == 0.0:
+            return math.sqrt(max(hyp * hyp - theta * theta, 0.0))
+        ratio = float(self.cs(hyp) / self.cs(theta))
+        if self.kappa > 0.0:
+            return math.acos(max(-1.0, min(1.0, ratio)))
+        return math.acosh(max(1.0, ratio))
+
+
+def _identity(rho):
+    return rho
+
+
+_CURVATURE = {
+    EUCLIDEAN: Curvature(0.0, _identity, np.ones_like, _identity, _identity,
+                         math.inf, 1),
+    SPHERE: Curvature(1.0, np.sin, np.cos, np.arcsin, np.cos, 0.5 * math.pi, 2),
+    HYPERBOLIC: Curvature(-1.0, np.sinh, np.cosh, np.arcsinh, np.cosh,
+                          math.inf, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -63,6 +143,17 @@ class Space:
     @property
     def ambient_dim(self) -> int:
         return self.n if self.kind == EUCLIDEAN else self.n + 1
+
+    @property
+    def curvature(self) -> Curvature:
+        return _CURVATURE[self.kind]
+
+    @property
+    def measure_scale(self) -> float:
+        """sigma_k / sigma_n on the sphere, whose invariant measure on great
+        k-spheres has mass 1; 1 on R^n and H^n."""
+        return sphere_area(self.k) / sphere_area(self.n) if self.is_sphere \
+            else 1.0
 
     @property
     def is_euclidean(self) -> bool:
@@ -140,13 +231,15 @@ def base_point(space: Space) -> Point:
     return Point(c)
 
 
-def _check_gram(basis: np.ndarray, target: np.ndarray, lorentz: bool, what: str):
-    if lorentz:
-        j = -np.ones(basis.shape[0])
-        j[-1] = 1.0
-        gram = basis.T @ (j[:, None] * basis)
-    else:
-        gram = basis.T @ basis
+def _signature(space: Space, size: int) -> np.ndarray:
+    # diag(kappa, ..., kappa, 1): the bilinear form of the curved models, the
+    # dot product on S^n and the Lorentz form on H^n
+    j = np.full(size, space.curvature.kappa)
+    j[-1] = 1.0
+    return j
+
+
+def _check_gram(gram: np.ndarray, target: np.ndarray, what: str):
     err = float(np.max(np.abs(gram - target)))
     if err > _VALIDATE_TOL:
         raise ValueError(f"{what} basis fails its Gram constraint by {err:.3e}")
@@ -160,7 +253,7 @@ def geodesic(space: Space, basis, offset=None) -> Geodesic:
     if b.shape != (dim, cols):
         raise ValueError(f"basis has shape {b.shape}, expected ({dim}, {cols})")
     if space.is_euclidean:
-        _check_gram(b, np.eye(cols), False, "euclidean")
+        _check_gram(b.T @ b, np.eye(cols), "euclidean")
         if offset is None:
             raise ValueError("euclidean geodesic requires an offset")
         u = np.asarray(offset, dtype=float)
@@ -170,12 +263,8 @@ def geodesic(space: Space, basis, offset=None) -> Geodesic:
                 1.0, float(np.linalg.norm(u))):
             raise ValueError("offset is not orthogonal to the direction subspace")
         return Geodesic(b, u)
-    if space.is_sphere:
-        _check_gram(b, np.eye(cols), False, "sphere")
-        return Geodesic(b, None)
-    target = -np.eye(cols)
-    target[-1, -1] = 1.0
-    _check_gram(b, target, True, "hyperbolic")
+    gram = b.T @ (_signature(space, dim)[:, None] * b)
+    _check_gram(gram, np.diag(_signature(space, cols)), space.kind)
     return Geodesic(b, None)
 
 
@@ -191,15 +280,21 @@ def distance_rho(space: Space, x: Point, xi: Geodesic) -> float:
     if space.is_euclidean:
         perp = c - b @ (b.T @ c)
         return float(np.linalg.norm(perp - xi.offset))
+    # cs(d)^2 is the squared norm of the projection onto the span of xi's
+    # orthonormal columns (timelike last on H^n); sn^2 = (1 - cs^2) / kappa
+    comp = b.T @ (_signature(space, c.size) * c)
+    q = float(comp @ (_signature(space, comp.size) * comp))
+    return math.sqrt(max(0.0, (1.0 - q) / space.curvature.kappa))
+
+
+def center_distance(space: Space, x, y) -> float:
+    """Geodesic distance between two points given by their coordinates."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if space.is_euclidean:
+        return float(np.linalg.norm(x - y))
     if space.is_sphere:
-        proj = b @ (b.T @ c)
-        cos_d = min(1.0, float(np.linalg.norm(proj)))
-        return math.sqrt(max(0.0, 1.0 - cos_d * cos_d))
-    # hyperbolic: cosh d is the Lorentz norm of the projection onto the
-    # signature-(k,1) subspace; columns are pseudo-orthonormal, timelike last
-    comp = lorentz_dot(np.moveaxis(b, 0, -1), c)
-    q = comp[-1] ** 2 - float(np.sum(comp[:-1] ** 2))
-    return math.sqrt(max(0.0, q - 1.0))
+        return float(np.arccos(np.clip(x @ y, -1.0, 1.0)))
+    return math.acosh(max(1.0, float(lorentz_dot(x, y))))
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -218,11 +313,11 @@ def haar_rotation(space: Space, seed: int) -> Rotation:
     For sphere/hyperbolic the SO(n) block acts on the first n coordinates
     (the stabilizer of the base point), embedded in the ambient dimension.
     """
-    rng = np.random.default_rng(seed)
-    return _haar_stabilizer(space, rng)
+    return haar_stabilizer(space, np.random.default_rng(seed))
 
 
-def _haar_stabilizer(space: Space, rng: np.random.Generator) -> Rotation:
+def haar_stabilizer(space: Space, rng: np.random.Generator) -> Rotation:
+    """Haar rotation of the stabilizer of the base point, drawn from rng."""
     q = haar_orthogonal(space.n, rng)
     if space.is_euclidean:
         return Rotation(q)
@@ -261,37 +356,38 @@ def transport_to(space: Space, x: Point) -> np.ndarray:
     Householder-style: acts only in the plane spanned by e_{n+1} and x, which
     fixes a deterministic choice among all isometries with r_x e_{n+1} = x.
     """
+    kappa = space.curvature.kappa
+    if kappa == 0.0:
+        raise ValueError("transport_to is defined for sphere and hyperbolic only")
     n = space.n
     c = float(x.coords[n])
     w = x.coords[:n]
     s = float(np.linalg.norm(w))
     m = np.eye(n + 1)
-    if space.is_sphere:
-        if s < 1e-14:
-            if c > 0.0:
-                return m
-            # antipode: rotate by pi in the (e_1, e_{n+1}) plane
+    if s < 1e-14:
+        if c < 0.0:
+            # antipode on the sphere: rotate by pi in the (e_1, e_{n+1}) plane
             m[0, 0] = -1.0
             m[n, n] = -1.0
-            return m
-        wh = np.zeros(n + 1)
-        wh[:n] = w / s
-        e = np.zeros(n + 1)
-        e[n] = 1.0
-        return (np.eye(n + 1)
-                + (c - 1.0) * (np.outer(wh, wh) + np.outer(e, e))
-                + s * (np.outer(wh, e) - np.outer(e, wh)))
-    if space.is_hyperbolic:
-        if s < 1e-14:
-            return m
-        wh = np.zeros(n + 1)
-        wh[:n] = w / s
-        e = np.zeros(n + 1)
-        e[n] = 1.0
-        return (np.eye(n + 1)
-                + (c - 1.0) * (np.outer(wh, wh) + np.outer(e, e))
-                + s * (np.outer(wh, e) + np.outer(e, wh)))
-    raise ValueError("transport_to is defined for sphere and hyperbolic only")
+        return m
+    # I + (c-1)(w w^T + e e^T) + s(w e^T - kappa e w^T) for the unit vector w
+    # of x's first n coordinates and e = e_{n+1}
+    wh = w / s
+    m[:n, :n] += (c - 1.0) * np.outer(wh, wh)
+    m[n, n] += c - 1.0
+    m[:n, n] = s * wh
+    m[n, :n] = -kappa * s * wh
+    return m
+
+
+def check_distance(space: Space, r) -> None:
+    """Reject distance values r (scalar or array) outside [0, sup sn)."""
+    lo, hi = (r, r) if isinstance(r, float) else \
+        (np.min(r, initial=0.0), np.max(r, initial=0.0))
+    if lo < 0.0:
+        raise ValueError("r must be nonnegative")
+    if space.is_sphere and hi >= 1.0:
+        raise ValueError("sphere requires r = sin(distance) < 1")
 
 
 def geodesic_at_distance(space: Space, x: Point, r: float, g: Rotation) -> Geodesic:
@@ -300,8 +396,7 @@ def geodesic_at_distance(space: Space, x: Point, r: float, g: Rotation) -> Geode
     r is the distance function value (sin/sinh of the geodesic distance on the
     curved models). The rotation g selects the member of the distance sphere.
     """
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
+    check_distance(space, r)
     n, k = space.n, space.k
     if space.is_euclidean:
         gamma = g.matrix
@@ -310,8 +405,6 @@ def geodesic_at_distance(space: Space, x: Point, r: float, g: Rotation) -> Geode
         u = p - b @ (b.T @ p)
         return Geodesic(b, u)
     if space.is_sphere:
-        if r >= 1.0:
-            raise ValueError("sphere requires r = sin(distance) < 1")
         theta = math.asin(r)
         m = transport_to(space, x) @ g.matrix @ g_theta(space, theta).T
         return Geodesic(m[:, :k + 1], None)
@@ -325,6 +418,5 @@ def rotate_point(space: Space, m: np.ndarray, x: Point) -> Point:
 
 
 def rotate_geodesic(space: Space, m: np.ndarray, xi: Geodesic) -> Geodesic:
-    if space.is_euclidean:
-        return Geodesic(m @ xi.basis, m @ xi.offset)
-    return Geodesic(m @ xi.basis, None)
+    offset = None if xi.offset is None else m @ xi.offset
+    return Geodesic(m @ xi.basis, offset)

@@ -38,7 +38,6 @@ class GridSpec:
     h: float = 0.02
     j_max: int = 24
     fit_degree: int | None = None
-    parity: str = "auto"  # auto | none | even | odd | odd_const
 
 
 @dataclass
@@ -57,28 +56,24 @@ class InversionReport:
         return abs(self.estimate - self.truth) / abs(self.truth)
 
 
-def _fit(profile: RadialProfile, order: int, degree: int, parity: str,
-         preferred: str):
+def _fit(profile: RadialProfile, order: int, degree: int, preferred: str):
     # a parity-restricted basis halves the dof, so give it extra powers and
     # escalate until the residual hits the quadrature noise floor; fall back
     # to the plain basis when the parity structure does not fit the data
-    if parity == "auto":
-        cap = profile.grid.size - 4
-        best = None
-        for bump in (4, 6, 8, 10):
-            d = degree + bump
-            if d > cap:
-                break
-            value, res = endpoint_derivative(profile, order, d, preferred)
-            if best is None or res < best[1]:
-                best = (value, res)
-            if res < 1e-9:
-                break
-        if best is not None and best[1] < _PARITY_RESIDUAL_TOL:
-            return best
-        return endpoint_derivative(profile, order, min(degree + 4, cap), None)
-    p = None if parity == "none" else parity
-    return endpoint_derivative(profile, order, degree, p)
+    cap = profile.grid.size - 4
+    best = None
+    for bump in (4, 6, 8, 10):
+        d = degree + bump
+        if d > cap:
+            break
+        value, res = endpoint_derivative(profile, order, d, preferred)
+        if best is None or res < best[1]:
+            best = (value, res)
+        if res < 1e-9:
+            break
+    if best is not None and best[1] < _PARITY_RESIDUAL_TOL:
+        return best
+    return endpoint_derivative(profile, order, min(degree + 4, cap), None)
 
 
 def invert_mader(space: Space, f: ScalarField, x: Point,
@@ -98,16 +93,14 @@ def invert_mader(space: Space, f: ScalarField, x: Point,
         vals = l_star_profile(space, f, x, rs, cfg)
         const = inversion_constant(space, SGN_EVEN)
         preferred = "odd_const"
-        meta = "sgn-weighted dual operator"
     else:
         vals = l_tilde_star_profile(space, f, x, rs, cfg)
         const = inversion_constant(space, LOG_ODD)
         preferred = "even"
-        meta = "log-weighted dual operator"
-    profile = RadialProfile(rs, vals, meta=meta)
+    profile = RadialProfile(rs, vals)
     order = k + 1
     degree = grid.fit_degree if grid.fit_degree is not None else k + 3
-    deriv, res = _fit(profile, order, degree, grid.parity, preferred)
+    deriv, res = _fit(profile, order, degree, preferred)
     return InversionReport(estimate=deriv / const.value, truth=f.at(x),
                            profile=profile, derivative_order=order,
                            constant_used=const, conditioning=res)
@@ -126,16 +119,15 @@ def invert_shifted_dual(space: Space, f: ScalarField, x: Point,
     vals = np.array([dual_shifted_mean(space, f, x, float(r), cfg) for r in rs])
     vals *= np.asarray(lambda_weight(space, rs))
     const = inversion_constant(space, SHIFTED_DUAL)
-    profile = RadialProfile(rs, vals, meta="weighted shifted dual")
+    profile = RadialProfile(rs, vals)
     degree = grid.fit_degree if grid.fit_degree is not None else k + 2
-    deriv, res = _fit(profile, k, degree, grid.parity, "even")
+    deriv, res = _fit(profile, k, degree, "even")
     return InversionReport(estimate=deriv / const.value, truth=f.at(x),
                            profile=profile, derivative_order=k,
                            constant_used=const, conditioning=res)
 
 
-def mader_radial_average(n: int, g, x: np.ndarray, s, polar_nodes: int = 64,
-                         azimuth_nodes: int | None = None):
+def mader_radial_average(n: int, g, x: np.ndarray, s, polar_nodes: int = 64):
     """Direction average G(x, s) of hyperplane data g(theta, s + x . theta).
 
     g must broadcast over a trailing stack of directions: it is called as
@@ -145,7 +137,7 @@ def mader_radial_average(n: int, g, x: np.ndarray, s, polar_nodes: int = 64,
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     scalar_in = np.ndim(s) == 0
     x = np.asarray(x, dtype=float)
-    dirs, w = sphere_rule(n - 1, polar_nodes, azimuth_nodes)
+    dirs, w = sphere_rule(n - 1, polar_nodes)
     shifted = s_arr[:, None] + dirs @ x
     vals = g(dirs[None, :, :], shifted) @ w / sphere_area(n - 1)
     return float(vals[0]) if scalar_in else vals
@@ -173,7 +165,6 @@ def mader_classical(n: int, g, x: np.ndarray,
 
     ts = grid.h * data_scale * np.arange(-grid.j_max, grid.j_max + 1)
     fvals = np.empty(ts.size)
-    tail = abs(big_g(s_cap)) + abs(big_g(-s_cap))
     if n % 2 == 0:
         for i, t in enumerate(ts):
             fvals[i] = quad_log_singular(
@@ -181,7 +172,6 @@ def mader_classical(n: int, g, x: np.ndarray,
                 s=float(t), target=1e-11)
         const_val = classical_log_constant(n)
         preferred = "even"
-        meta = "classical log kernel"
         kind = "classical_log"
     else:
         for i, t in enumerate(ts):
@@ -190,12 +180,10 @@ def mader_classical(n: int, g, x: np.ndarray,
             fvals[i] = float(np.dot(whi, big_g(hi)) - np.dot(wlo, big_g(lo)))
         const_val = classical_sgn_constant(n)
         preferred = "odd"
-        meta = "classical sgn kernel"
         kind = "classical_sgn"
-    profile = RadialProfile(
-        ts, fvals, meta=f"{meta}; |s| <= {s_cap:g}, boundary data {tail:.1e}")
+    profile = RadialProfile(ts, fvals)
     degree = grid.fit_degree if grid.fit_degree is not None else n + 3
-    deriv, res = _fit(profile, n, degree, grid.parity, preferred)
+    deriv, res = _fit(profile, n, degree, preferred)
     const = InversionConstant(value=1.0 / const_val, kind=kind,
                               space_kind="euclidean", n=n, k=n - 1)
     return InversionReport(estimate=const_val * deriv, truth=truth,

@@ -15,9 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_jacobi
 
-from .constants import c_k_value, theta_poly
+from .constants import c_k_value, theta_poly_coeffs
 
 __all__ = [
     "KernelParams",
@@ -127,7 +126,16 @@ def mu_alpha(params: KernelParams, u: float) -> float:
 
 @lru_cache(maxsize=None)
 def _jacobi_rule(beta: float, n: int = 64):
-    x, w = roots_jacobi(n, 0.0, beta)
+    # Gauss-Jacobi rule for the weight (1+x)^beta on (-1, 1) by Golub-Welsch;
+    # scipy's roots_jacobi loses eight digits of the weights near beta = -1
+    k = np.arange(1, n)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
     return x, w
 
 
@@ -246,4 +254,5 @@ def psi_sign(k: int, u: float) -> float:
     if u >= 1.0:
         return -ck
     sign = 1.0 if (k // 2) % 2 == 0 else -1.0
-    return -ck + 2.0 * sign * float(theta_poly(k, u))
+    theta = np.polynomial.polynomial.polyval(u, theta_poly_coeffs(k))
+    return -ck + 2.0 * sign * float(theta)

@@ -27,10 +27,6 @@ class QuadRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return self.nodes.size
-
 
 @dataclass
 class RadialProfile:
@@ -38,7 +34,6 @@ class RadialProfile:
 
     grid: np.ndarray
     values: np.ndarray
-    meta: str = ""
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -155,7 +150,6 @@ def quad_log_singular(f, a: float, b: float, s: float, target: float = 1e-10,
 
 _PARITY_POWERS = {
     None: lambda d: list(range(d + 1)),
-    "none": lambda d: list(range(d + 1)),
     "even": lambda d: list(range(0, d + 1, 2)),
     "odd": lambda d: list(range(1, d + 1, 2)),
     "odd_const": lambda d: [0] + list(range(1, d + 1, 2)),
@@ -198,18 +192,18 @@ def endpoint_derivative(profile: RadialProfile, order: int, fit_degree: int,
 
 
 @lru_cache(maxsize=None)
-def sphere_rule(m: int, polar_nodes: int = 64, azimuth_nodes: int | None = None):
+def sphere_rule(m: int, polar_nodes: int = 64):
     """Product quadrature on the unit sphere S^m in R^(m+1).
 
-    Returns (points, weights) with points of shape (N, m+1); the weights sum
-    to the surface area sigma_m. Built recursively: trapezoid in the final
-    azimuth (spectrally accurate for periodic integrands), Gauss-Legendre in
-    each polar angle against the sin^(m-1) factor.
+    Returns (points, weights) with points of shape (N, m+1), N = 2 p^m for
+    m >= 1; the weights sum to the surface area sigma_m. Built recursively:
+    2p trapezoid nodes in the final azimuth (spectrally accurate for periodic
+    integrands), p Gauss-Legendre nodes in each polar angle against the
+    sin^(m-1) factor.
     """
     if m < 0:
         raise ValueError("sphere dimension must be nonnegative")
-    if azimuth_nodes is None:
-        azimuth_nodes = 2 * polar_nodes
+    azimuth_nodes = 2 * polar_nodes
     if m == 0:
         pts = np.array([[1.0], [-1.0]])
         wts = np.array([1.0, 1.0])
@@ -218,7 +212,7 @@ def sphere_rule(m: int, polar_nodes: int = 64, azimuth_nodes: int | None = None)
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
         wts = np.full(azimuth_nodes, 2.0 * np.pi / azimuth_nodes)
     else:
-        sub_pts, sub_wts = sphere_rule(m - 1, polar_nodes, azimuth_nodes)
+        sub_pts, sub_wts = sphere_rule(m - 1, polar_nodes)
         phi, wphi = gl_nodes(0.0, np.pi, polar_nodes)
         sin_phi = np.sin(phi)
         pts = np.concatenate(

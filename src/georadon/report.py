@@ -180,8 +180,7 @@ def check_hyperbolic_pipelines() -> CheckResult:
 def _mc_case(space, phantom_name, coords, r, seed, power=None):
     kwargs = {"power": power} if power else {}
     f = make_phantom(space, phantom_name, **kwargs)
-    x = Point(np.asarray(coords, dtype=float)) if space.kind == "euclidean" \
-        else point(space, coords)
+    x = point(space, coords)
     cfg = DualConfig(mc_samples=10000, seed=seed, forward_nodes=32,
                      quad_nodes=64)
 
@@ -214,8 +213,7 @@ def check_dual_identities() -> CheckResult:
              [math.sinh(0.4), 0.0, math.cosh(0.4)], 203, 6)]:
         kwargs = {"power": power} if power else {}
         f = make_phantom(space, phantom_name, **kwargs)
-        x = Point(np.asarray(coords, dtype=float)) \
-            if space.kind == "euclidean" else point(space, coords)
+        x = point(space, coords)
         cfg = DualConfig(mc_samples=4000, seed=seed, forward_nodes=48,
                          quad_nodes=64)
         n, k = space.n, space.k

@@ -3,40 +3,27 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import sphere_area
 from .fields import ScalarField
-from .geometry import (EUCLIDEAN, SPHERE, Geodesic, Point, Space,
-                       base_point, lorentz_dot, transport_to)
+from .geometry import (Geodesic, Point, Space, base_point, lorentz_dot,
+                       sphere_area, transport_to)
 from .numerics import gl_nodes, sphere_rule
 
 __all__ = [
-    "MeanProfile",
     "radon_forward",
     "spherical_mean",
     "tilde_mean",
-    "mean_profile",
 ]
 
-
-@dataclass
-class MeanProfile:
-    space: Space
-    center: Point
-    grid: np.ndarray
-    values: np.ndarray
-    variant: str  # "plain" | "tilde"
-
-
-def _direction_rule(space: Space, polar_nodes: int, azimuth_nodes: int | None):
-    return sphere_rule(space.n - 1, polar_nodes, azimuth_nodes)
+# refuse a spherical-mean request whose (t, direction, coordinate) block of
+# float64 points would exceed this many bytes
+MEAN_BLOCK_BYTES = 1 << 30
 
 
 def spherical_mean(space: Space, f: ScalarField, x: Point, t,
-                   polar_nodes: int = 64, azimuth_nodes: int | None = None):
+                   polar_nodes: int = 64):
     """Normalized mean of f over the geodesic sphere / planar section at t.
 
     Euclidean: average of f(x + t theta) over directions (t >= 0).
@@ -47,68 +34,50 @@ def spherical_mean(space: Space, f: ScalarField, x: Point, t,
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     scalar_in = np.ndim(t) == 0
-    dirs, w = _direction_rule(space, polar_nodes, azimuth_nodes)
+    if space.is_euclidean and np.any(t_arr < 0.0):
+        raise ValueError("euclidean mean requires t >= 0")
+    if space.is_sphere and (np.any(t_arr <= -1.0) or np.any(t_arr > 1.0)):
+        raise ValueError("sphere mean requires -1 < t <= 1")
+    if space.is_hyperbolic and np.any(t_arr < 1.0):
+        raise ValueError("hyperbolic mean requires t >= 1")
+    # the product rule on S^(n-1) has 2 p^(n-1) directions
+    n_dirs = 2 * polar_nodes ** (space.n - 1)
+    nbytes = 8 * t_arr.size * n_dirs * space.ambient_dim
+    if nbytes > MEAN_BLOCK_BYTES:
+        raise ValueError(
+            f"spherical mean of {t_arr.size} t-values x {n_dirs} directions x "
+            f"{space.ambient_dim} coordinates needs {nbytes / 2 ** 30:.2f} GiB, "
+            f"over {MEAN_BLOCK_BYTES / 2 ** 30:.2f} GiB; use a smaller "
+            f"mean_polar than {polar_nodes}")
+    dirs, w = sphere_rule(space.n - 1, polar_nodes)
     area = sphere_area(space.n - 1)
-    if space.kind == EUCLIDEAN:
-        if np.any(t_arr < 0.0):
-            raise ValueError("euclidean mean requires t >= 0")
+    if space.is_euclidean:
         pts = x.coords[None, None, :] + t_arr[:, None, None] * dirs[None, :, :]
-        vals = f(pts) @ w / area
     else:
-        if space.kind == SPHERE:
-            if np.any(t_arr <= -1.0) or np.any(t_arr > 1.0):
-                raise ValueError("sphere mean requires -1 < t <= 1")
-            s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
-        else:
-            if np.any(t_arr < 1.0):
-                raise ValueError("hyperbolic mean requires t >= 1")
-            s = np.sqrt(np.maximum(0.0, t_arr * t_arr - 1.0))
-        rx = transport_to(space, x)
+        # the section at t is the geodesic sphere of radius sn with cs = t
+        kappa = space.curvature.kappa
+        s = np.sqrt(np.maximum(0.0, kappa * (1.0 - t_arr * t_arr)))
         local = np.empty((t_arr.size, dirs.shape[0], space.n + 1))
         local[:, :, :space.n] = s[:, None, None] * dirs[None, :, :]
         local[:, :, space.n] = t_arr[:, None]
-        vals = f(local @ rx.T) @ w / area
+        pts = local @ transport_to(space, x).T
+    vals = f(pts) @ w / area
     return float(vals[0]) if scalar_in else vals
 
 
 def tilde_mean(space: Space, f: ScalarField, x: Point, t,
-               polar_nodes: int = 64, azimuth_nodes: int | None = None):
-    """Reparameterized means with t -> 0 limit f(x) in all three spaces."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    scalar_in = np.ndim(t) == 0
-    if space.kind == EUCLIDEAN:
-        out = spherical_mean(space, f, x, t_arr, polar_nodes, azimuth_nodes)
-    elif space.kind == SPHERE:
-        if np.any(t_arr < 0.0) or np.any(t_arr >= 1.0):
-            raise ValueError("sphere tilde mean requires 0 <= t < 1")
-        base = spherical_mean(space, f, x, np.sqrt(1.0 - t_arr * t_arr),
-                              polar_nodes, azimuth_nodes)
-        out = base / np.sqrt(1.0 - t_arr * t_arr)
-    else:
-        if np.any(t_arr < 0.0):
-            raise ValueError("hyperbolic tilde mean requires t >= 0")
-        base = spherical_mean(space, f, x, np.sqrt(1.0 + t_arr * t_arr),
-                              polar_nodes, azimuth_nodes)
-        out = base / np.sqrt(1.0 + t_arr * t_arr)
-    return float(out[0]) if scalar_in else out
-
-
-def mean_profile(space: Space, f: ScalarField, x: Point, grid,
-                 variant: str = "plain", polar_nodes: int = 64,
-                 azimuth_nodes: int | None = None) -> MeanProfile:
-    grid = np.asarray(grid, dtype=float)
-    if grid.size and np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    if variant == "plain":
-        vals = spherical_mean(space, f, x, grid, polar_nodes, azimuth_nodes) \
-            if grid.size else np.empty(0)
-    elif variant == "tilde":
-        vals = tilde_mean(space, f, x, grid, polar_nodes, azimuth_nodes) \
-            if grid.size else np.empty(0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return MeanProfile(space=space, center=x, grid=grid,
-                       values=np.atleast_1d(vals), variant=variant)
+               polar_nodes: int = 64):
+    """Means reparameterized by the distance value t = sn(rho) and divided
+    by cs(rho), with t -> 0 limit f(x) in all three spaces."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("tilde mean requires t >= 0")
+    if space.is_sphere and np.any(t >= 1.0):
+        raise ValueError("sphere tilde mean requires 0 <= t < 1")
+    model = space.curvature
+    rho = model.asn(t)
+    return spherical_mean(space, f, x, model.mean_t(rho), polar_nodes) \
+        / model.cs(rho)
 
 
 def _euclidean_forward(space: Space, f: ScalarField, xi: Geodesic,
@@ -150,7 +119,7 @@ def _euclidean_forward(space: Space, f: ScalarField, xi: Geodesic,
 
 def _sphere_forward(space: Space, f: ScalarField, xi: Geodesic,
                     nodes: int) -> float:
-    z, w = sphere_rule(space.k, nodes, 2 * nodes)
+    z, w = sphere_rule(space.k, nodes)
     return float(np.dot(w, f(z @ xi.basis.T)))
 
 
@@ -185,7 +154,7 @@ def _hyperbolic_forward(space: Space, f: ScalarField, xi: Geodesic,
     p, vs, d0 = _hyperbolic_frame(space, xi, anchor)
     dmax = f.decay_scale + d0 + 0.5
     deltas, wd = gl_nodes(0.0, dmax, nodes, panels=3)
-    dirs, wo = sphere_rule(k - 1, nodes, 2 * nodes)
+    dirs, wo = sphere_rule(k - 1, nodes)
     # y = cosh(delta) p + sinh(delta) (dirs . vs), volume sinh^(k-1)
     pts = (np.cosh(deltas)[:, None, None] * p[None, None, :]
            + np.sinh(deltas)[:, None, None] * (dirs @ vs.T)[None, :, :])
@@ -199,8 +168,8 @@ def radon_forward(space: Space, f: ScalarField, xi: Geodesic,
     """Integral of f over the geodesic submanifold with its canonical measure:
     Lebesgue on the k-plane, Lebesgue on the great k-sphere, invariant
     (hyperbolic volume) measure on the geodesic H^k."""
-    if space.kind == EUCLIDEAN:
+    if space.is_euclidean:
         return _euclidean_forward(space, f, xi, nodes)
-    if space.kind == SPHERE:
+    if space.is_sphere:
         return _sphere_forward(space, f, xi, nodes)
     return _hyperbolic_forward(space, f, xi, nodes)

@@ -37,6 +37,15 @@ def test_invert_command(tmp_path):
     assert len(profile) == 14
 
 
+def test_invert_mader_shifted_center():
+    out = run_cli("invert", "--space", "euclidean", "--n", "2", "--k", "1",
+                  "--theorem", "mader", "--point", "0.3,0", "--center",
+                  "0.3,0")
+    payload = json.loads(out)
+    assert payload["truth"] == pytest.approx(1.0)
+    assert payload["rel_error"] < 1e-3
+
+
 def test_invert_theorem2_parity_guard():
     run_cli("invert", "--space", "euclidean", "--n", "2", "--k", "1",
             "--theorem", "2", "--phantom", "gaussian", "--point", "0,0",
@@ -80,6 +89,11 @@ def test_means_command():
     assert vals == pytest.approx([1.0, math.exp(-0.25), math.exp(-1.0)])
 
 
+def test_means_rejects_decreasing_grid():
+    run_cli("means", "--space", "euclidean", "--n", "2", "--k", "1",
+            "--t-min", "1", "--t-max", "0", "--num", "3", expect_code=1)
+
+
 def test_psi_command():
     out = run_cli("psi", "--k", "1", "--num", "8")
     assert out.splitlines()[0] == "u,value"
@@ -93,6 +107,18 @@ def test_crosscheck_command():
     payload = json.loads(out)
     assert payload["passed"] is True
     assert abs(payload["z_mc"]) < 3.0
+
+
+def test_crosscheck_degenerate_spread():
+    # at the center of a radial phantom every draw gives the same transform:
+    # the stderr is roundoff and the case passes on agreement alone
+    out = run_cli("crosscheck", "--space", "euclidean", "--n", "2", "--k",
+                  "1", "--mc-samples", "500")
+    payload = json.loads(out)
+    assert payload["mc_stderr"] < 1e-12
+    assert payload["mc_value"] == pytest.approx(payload["mean_reduction"],
+                                                rel=1e-10)
+    assert payload["passed"] is True
 
 
 def test_report_subset(tmp_path):

@@ -9,8 +9,8 @@ from georadon.constants import (LOG_ODD, SGN_EVEN, SHIFTED_DUAL,
                                 c_k_value, classical_log_constant,
                                 classical_sgn_constant, gamma_half,
                                 inversion_constant, lambda_weight,
-                                sphere_area, theta_k, theta_poly,
-                                theta_poly_coeffs)
+                                sphere_area, theta_k, theta_poly_coeffs,
+                                theta_sinh)
 from georadon.geometry import Space
 
 
@@ -112,12 +112,24 @@ def test_theta_k_high_odd_order():
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_theta_poly_continues_theta(k):
+    def theta_poly(u):
+        return float(np.polynomial.polynomial.polyval(u, theta_poly_coeffs(k)))
+
     for u in (0.2, 0.8, 1.7):
-        coeffs = theta_poly_coeffs(k)
-        direct = float(np.polynomial.polynomial.polyval(u, coeffs))
-        assert theta_poly(k, u) == pytest.approx(direct, abs=1e-13)
-    assert theta_poly(k, 1.0) == pytest.approx(0.0, abs=1e-14)
-    assert theta_poly(k, 3.0) == pytest.approx(theta_k(3.0, k), abs=1e-12)
+        # signed primitive of the polynomial (v^2-1)^(k/2-1) from 1 to u
+        direct = quad(lambda v: (v * v - 1) ** (k // 2 - 1), 1.0, u)[0]
+        assert theta_poly(u) == pytest.approx(direct, abs=1e-13)
+    assert theta_poly(1.0) == pytest.approx(0.0, abs=1e-14)
+    ref = quad(lambda v: (v * v - 1) ** (k // 2 - 1), 1.0, 3.0)[0]
+    assert theta_k(3.0, k) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_theta_sinh_matches_quadrature(k):
+    ws = np.array([0.0, 0.4, 1.3])
+    ref = [quad(lambda y: math.sinh(y) ** (k - 1), 0.0, w)[0] for w in ws]
+    assert theta_sinh(k, ws) == pytest.approx(ref, abs=1e-12)
+    assert theta_k(math.cosh(1.3), k) == pytest.approx(ref[2], abs=1e-12)
 
 
 def test_classical_constants():

@@ -84,6 +84,20 @@ def test_dual_mc_rotationally_degenerate_case():
     assert mc.stderr < 1e-9
 
 
+def test_dual_mean_sphere_non_even_field():
+    # the reduction integrates over the whole great circle, so a field with
+    # no antipodal symmetry matches the Monte Carlo average
+    c = np.array([0.6, 0.0, 0.8])
+    f = ScalarField(lambda p: np.exp(-4.0 * np.sum((p - c) ** 2, axis=-1)),
+                    math.pi, name="bump", center=c)
+    x = point(SP2, [0.0, 0.6, 0.8])
+    cfg = DualConfig(mc_samples=4000, seed=3, forward_nodes=48, quad_nodes=64)
+    mc = dual_shifted_mc(SP2, lambda xi: radon_forward(SP2, f, xi, nodes=48),
+                         x, 0.5, cfg)
+    z = (mc.value - dual_shifted_mean(SP2, f, x, 0.5, cfg)) / mc.stderr
+    assert abs(z) < 3.0
+
+
 def test_dual_mc_sphere_domain():
     with pytest.raises(ValueError):
         dual_shifted_mc(SP2, lambda xi: 1.0, point(SP2, [0, 0, 1.0]), 1.0, CFG)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_point
 from georadon.geometry import (Point, Rotation, Space, base_point,
-                               distance_rho, g_theta, geodesic,
+                               center_distance, distance_rho, g_theta, geodesic,
                                geodesic_at_distance, haar_rotation,
                                lorentz_dot, point, rotate_geodesic,
                                rotate_point, transport_to)
@@ -170,3 +170,47 @@ def test_transport_antipode():
     m = transport_to(SP, south)
     assert m @ np.array([0.0, 0.0, 1.0]) == pytest.approx(south.coords)
     assert np.linalg.det(m) == pytest.approx(1.0)
+
+
+KINDS = ["euclidean", "sphere", "hyperbolic"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_curvature_model_identities(kind):
+    model = Space(kind, 3, 1).curvature
+    rho = np.linspace(0.0, 1.5, 16)
+    assert model.cs(rho) ** 2 + model.kappa * model.sn(rho) ** 2 == \
+        pytest.approx(np.ones_like(rho), abs=1e-14)
+    assert model.asn(model.sn(rho)) == pytest.approx(rho, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mean_t_at_center_distance(kind, rng):
+    # the parameter t of spherical_mean: |x - y|, x . y and [x, y]
+    space = Space(kind, 3, 1)
+    inner = {"euclidean": lambda x, y: float(np.linalg.norm(x - y)),
+             "sphere": lambda x, y: float(x @ y),
+             "hyperbolic": lambda x, y: float(lorentz_dot(x, y))}[kind]
+    for _ in range(20):
+        x = random_point(space, rng).coords
+        y = random_point(space, rng).coords
+        t = space.curvature.mean_t(center_distance(space, x, y))
+        assert t == pytest.approx(inner(x, y), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_right_triangle(kind):
+    # foot at distance theta from the base point x, y at distance v from the
+    # foot along a direction orthogonal to both
+    space = Space(kind, 3, 1)
+    model = space.curvature
+    x = base_point(space).coords
+    e1, e2 = np.eye(space.ambient_dim)[:2]
+    for theta in (0.0, 0.3, 1.2):
+        for v in (0.2, 1.1, 2.5):
+            foot = model.cs(theta) * x + model.sn(theta) * e1
+            y = model.cs(v) * foot + model.sn(v) * e2
+            hyp = center_distance(space, x, y)
+            assert model.hypot_t(theta, v) == pytest.approx(
+                model.mean_t(hyp), abs=1e-12)
+            assert model.leg(hyp, theta) == pytest.approx(v, abs=1e-7)

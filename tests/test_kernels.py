@@ -97,6 +97,14 @@ def test_phi_closed_matches_oracle_random(m, data):
     assert phi_closed(p, u) == pytest.approx(phi_oracle(p, u), abs=1e-7)
 
 
+@pytest.mark.parametrize("alpha,m,u", [(3.900390625, 3, 3.5), (3.93, 3, 3.9),
+                                       (2.93, 2, 3.9)])
+def test_phi_closed_near_singular_weight(alpha, m, u):
+    # beta = m - alpha near -1: the Gauss-Jacobi weights must stay accurate
+    p = KernelParams(alpha, m)
+    assert phi_closed(p, u) == pytest.approx(phi_oracle(p, u), abs=1e-7)
+
+
 def test_phi_continuity_at_one():
     p = KernelParams(0.3, 2)
     jumps = [abs(phi_closed(p, 1 + eps) - phi_closed(p, 1 - eps))

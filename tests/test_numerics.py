@@ -131,13 +131,13 @@ def test_radial_profile_validation():
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_sphere_rule_surface_area(m):
     from georadon.constants import sphere_area
-    _, w = sphere_rule(m, 32, 64)
+    _, w = sphere_rule(m, 32)
     assert w.sum() == pytest.approx(sphere_area(m), rel=1e-12)
 
 
 def test_sphere_rule_polynomial_moment():
     # int_{S^2} z^2 = 4 pi / 3
-    pts, w = sphere_rule(2, 32, 64)
+    pts, w = sphere_rule(2, 32)
     assert float(w @ pts[:, 2] ** 2) == pytest.approx(4 * math.pi / 3, rel=1e-12)
 
 

@@ -10,8 +10,8 @@ from georadon.geometry import (Point, Rotation, Space, base_point, g_theta,
                                geodesic, geodesic_at_distance, haar_rotation,
                                point, rotate_geodesic)
 from georadon.numerics import gl_nodes
-from georadon.transforms import (mean_profile, radon_forward, spherical_mean,
-                                 tilde_mean)
+import georadon.transforms as transforms
+from georadon.transforms import radon_forward, spherical_mean, tilde_mean
 
 EU3 = Space("euclidean", 3, 2)
 EU2 = Space("euclidean", 2, 1)
@@ -126,18 +126,30 @@ def test_tilde_mean_limit():
 
 def test_mean_profile_gaussian():
     f = make_phantom(EU3, "gaussian")
-    prof = mean_profile(EU3, f, Point(np.zeros(3)), [0.0, 0.5, 1.0])
-    assert prof.values == pytest.approx(
+    vals = spherical_mean(EU3, f, Point(np.zeros(3)), [0.0, 0.5, 1.0])
+    assert vals == pytest.approx(
         [1.0, math.exp(-0.25), math.exp(-1.0)], rel=1e-12)
-    empty = mean_profile(EU3, f, Point(np.zeros(3)), [])
-    assert empty.values.size == 0
 
 
 def test_mean_profile_tilde_constant():
     fc = make_phantom(SP2, "constant-even")
-    prof = mean_profile(SP2, fc, point(SP2, [0, 0, 1.0]), [0.0, 0.6],
-                        variant="tilde")
-    assert prof.values == pytest.approx([1.0, 1.25], rel=1e-12)
+    vals = tilde_mean(SP2, fc, point(SP2, [0, 0, 1.0]), [0.0, 0.6])
+    assert vals == pytest.approx([1.0, 1.25], rel=1e-12)
+
+
+def test_mean_refuses_oversized_block(monkeypatch):
+    # 3 t-values x 2*8^2 directions x 4 coordinates x 8 bytes = 12,288 bytes
+    f = make_phantom(Space("sphere", 3, 1), "even-poly")
+    x = point(Space("sphere", 3, 1), [0, 0, 0, 1.0])
+    ts = [0.2, 0.5, 0.9]
+    ok = spherical_mean(Space("sphere", 3, 1), f, x, ts, polar_nodes=8)
+    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", 12288)
+    assert spherical_mean(Space("sphere", 3, 1), f, x, ts, 8) == \
+        pytest.approx(ok, abs=0.0)
+    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", 12287)
+    with pytest.raises(ValueError, match=r"3 t-values x 128 directions x 4 "
+                                         r"coordinates.*smaller mean_polar"):
+        spherical_mean(Space("sphere", 3, 1), f, x, ts, polar_nodes=8)
 
 
 def test_euclidean_polar_consistency():
