@@ -186,7 +186,7 @@ def cmd_means(args) -> int:
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
     mean = tilde_mean if args.variant == "tilde" else spherical_mean
-    csv = _profile_csv(grid, mean(space, f, x, grid) if grid.size else [])
+    csv = _profile_csv(grid, mean(space, f, x, grid))
     print(csv, end="")
     _write_artifact(args, "means.csv", csv)
     return 0

@@ -40,8 +40,8 @@ def spherical_mean(space: Space, f: ScalarField, x: Point, t,
         raise ValueError("sphere mean requires -1 < t <= 1")
     if space.is_hyperbolic and np.any(t_arr < 1.0):
         raise ValueError("hyperbolic mean requires t >= 1")
-    # the product rule on S^(n-1) has 2 p^(n-1) directions
-    n_dirs = 2 * polar_nodes ** (space.n - 1)
+    dirs, w = sphere_rule(space.n - 1, polar_nodes)
+    n_dirs = dirs.shape[0]
     nbytes = 8 * t_arr.size * n_dirs * space.ambient_dim
     if nbytes > MEAN_BLOCK_BYTES:
         raise ValueError(
@@ -49,7 +49,6 @@ def spherical_mean(space: Space, f: ScalarField, x: Point, t,
             f"{space.ambient_dim} coordinates needs {nbytes / 2 ** 30:.2f} GiB, "
             f"over {MEAN_BLOCK_BYTES / 2 ** 30:.2f} GiB; use a smaller "
             f"mean_polar than {polar_nodes}")
-    dirs, w = sphere_rule(space.n - 1, polar_nodes)
     area = sphere_area(space.n - 1)
     if space.is_euclidean:
         pts = x.coords[None, None, :] + t_arr[:, None, None] * dirs[None, :, :]

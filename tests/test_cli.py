@@ -89,6 +89,13 @@ def test_means_command():
     assert vals == pytest.approx([1.0, math.exp(-0.25), math.exp(-1.0)])
 
 
+def test_means_empty_grid_prints_header():
+    out = run_cli("means", "--space", "sphere", "--n", "2", "--k", "1",
+                  "--phantom", "even-poly", "--variant", "tilde", "--t-min", "0", "--t-max", "0.5",
+                  "--num", "0")
+    assert out == "r,value\n"
+
+
 def test_means_rejects_decreasing_grid():
     run_cli("means", "--space", "euclidean", "--n", "2", "--k", "1",
             "--t-min", "1", "--t-max", "0", "--num", "3", expect_code=1)

@@ -129,6 +129,8 @@ def test_mean_profile_gaussian():
     vals = spherical_mean(EU3, f, Point(np.zeros(3)), [0.0, 0.5, 1.0])
     assert vals == pytest.approx(
         [1.0, math.exp(-0.25), math.exp(-1.0)], rel=1e-12)
+    empty = spherical_mean(EU3, f, Point(np.zeros(3)), [])
+    assert empty.size == 0
 
 
 def test_mean_profile_tilde_constant():
