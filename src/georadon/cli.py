@@ -84,15 +84,9 @@ def _phantom_from(space: Space, args):
         raise SystemExit(1) from None
 
 
-def _dual_config(args) -> DualConfig:
-    return DualConfig(mc_samples=args.mc_samples, quad_nodes=args.quad_nodes,
-                      truncation=args.truncation, seed=args.seed,
-                      mean_polar=args.mean_polar)
-
-
-def _grid_spec(args) -> GridSpec:
-    return GridSpec(h=args.grid_h, j_max=args.grid_j,
-                    fit_degree=args.fit_degree)
+def _dual_config(args, **extra) -> DualConfig:
+    return DualConfig(quad_nodes=args.quad_nodes, truncation=args.truncation,
+                      seed=args.seed, mean_polar=args.mean_polar, **extra)
 
 
 def cmd_constants(args) -> int:
@@ -197,7 +191,7 @@ def cmd_invert(args) -> int:
     f = _phantom_from(space, args)
     x = _point_from(space, args.point) if args.point else base_point(space)
     cfg = _dual_config(args)
-    grid = _grid_spec(args)
+    grid = GridSpec(h=args.grid_h, j_max=args.grid_j)
     if args.theorem == "mader":
         if space.kind != EUCLIDEAN or args.phantom != "gaussian":
             print("error: the classical pipeline is wired for the euclidean "
@@ -210,13 +204,12 @@ def cmd_invert(args) -> int:
         def g(dirs, s):
             return amp * np.exp(-(s - dirs @ center) ** 2)
 
-        rep = mader_classical(n, g, x.coords, grid=grid, truth=f.at(x))
+        rep = mader_classical(n, g, x.coords, grid=grid, truth=f.at(x),
+                              quad_nodes=cfg.quad_nodes,
+                              polar_nodes=cfg.mean_polar)
     elif args.theorem == "1":
         rep = invert_mader(space, f, x, cfg, grid)
     else:
-        if space.k % 2 != 0:
-            print("error: --theorem 2 requires even k", file=sys.stderr)
-            return 1
         rep = invert_shifted_dual(space, f, x, cfg, grid)
     payload = {
         "estimate": rep.estimate,
@@ -249,7 +242,7 @@ def cmd_crosscheck(args) -> int:
     space = _space_from(args)
     f = _phantom_from(space, args)
     x = _point_from(space, args.point) if args.point else base_point(space)
-    cfg = _dual_config(args)
+    cfg = _dual_config(args, mc_samples=args.mc_samples)
 
     def phi(xi):
         return radon_forward(space, f, xi, nodes=args.quad_nodes)
@@ -300,12 +293,8 @@ def _add_phantom_args(p):
 
 
 def _add_numeric_args(p):
-    p.add_argument("--grid-h", type=float, default=0.02)
-    p.add_argument("--grid-j", type=int, default=24)
-    p.add_argument("--fit-degree", type=int, default=None)
     p.add_argument("--quad-nodes", type=int, default=96)
     p.add_argument("--mean-polar", type=int, default=64)
-    p.add_argument("--mc-samples", type=int, default=4000)
     p.add_argument("--truncation", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
 
@@ -358,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
     _add_phantom_args(p)
     p.add_argument("--theorem", choices=["1", "2", "mader"], required=True)
+    p.add_argument("--grid-h", type=float, default=0.02)
+    p.add_argument("--grid-j", type=int, default=24)
     _add_numeric_args(p)
     p.set_defaults(fn=cmd_invert)
 
@@ -365,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
     _add_phantom_args(p)
     p.add_argument("--distance", type=float, default=0.5)
+    p.add_argument("--mc-samples", type=int, default=4000)
     _add_numeric_args(p)
     p.set_defaults(fn=cmd_crosscheck)
 

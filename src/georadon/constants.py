@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPHERE, Space, check_distance, gamma_half, sphere_area
+from .geometry import Space, check_distance, gamma_half, sphere_area
 from .numerics import integrate_gl
 
 __all__ = [
@@ -40,9 +40,6 @@ SHIFTED_DUAL = "shifted_dual"
 class InversionConstant:
     value: float
     kind: str
-    space_kind: str
-    n: int
-    k: int
 
 
 def _sign(j: int) -> float:
@@ -53,42 +50,38 @@ def inversion_constant(space: Space, kind: str,
                        printed_form: bool = False) -> InversionConstant:
     """The derivative-to-function constant of the chosen inversion pipeline.
 
-    For the sphere sgn-even case two conventions circulate: the printed one,
-    2 sig_{n-k-1} sig_k sig_{k-1} (k-1)!/sig_n, and the one the Euclidean-style
-    derivation produces, which carries an extra 2(-1)^((k+2)/2). The numerical
-    sign experiment (S^4, k = 2) confirms the latter, used by default;
-    printed_form=True selects the former.
+    Every pipeline carries sig_{k-1} (k-1)! Curvature.folds times its sign
+    factor: (-1)^(k/2) for the shifted dual, 2(-1)^((k+2)/2) for sgn and
+    pi (-1)^((k-1)/2) for log. The sgn/log pipelines add sig_{n-k-1}
+    Space.measure_scale, so that on S^n they carry the factor 2 sig_k/sig_n;
+    the fold 2 counts f(x) + f(-x), since a great k-sphere near x passes as
+    near -x. For the sphere sgn-even case the printed statement omits
+    2(-1)^((k+2)/2); the numerical sign experiment (acceptance check 7 on
+    S^4 k = 2, and S^5 k = 4 for the sign) confirms the derivation-style
+    constant, used by default; printed_form=True selects the printed one.
     """
     n, k = space.n, space.k
-    fact = float(math.factorial(k - 1))
     if kind == SGN_EVEN:
-        if k % 2 != 0:
-            raise ValueError("the sgn pipeline requires even k")
-        if space.kind == SPHERE:
-            base = 2.0 * sphere_area(n - k - 1) * sphere_area(k) \
-                * sphere_area(k - 1) * fact / sphere_area(n)
-            value = base if printed_form else 2.0 * _sign((k + 2) // 2) * base
-        else:
-            value = 2.0 * _sign((k + 2) // 2) * sphere_area(n - k - 1) \
-                * sphere_area(k - 1) * fact
+        name, parity = "sgn", 0
+        factor = 1.0 if printed_form and space.is_sphere \
+            else 2.0 * _sign((k + 2) // 2)
     elif kind == LOG_ODD:
-        if k % 2 != 1:
-            raise ValueError("the log pipeline requires odd k")
-        if space.kind == SPHERE:
-            value = 2.0 * math.pi * _sign((k - 1) // 2) * sphere_area(n - k - 1) \
-                * sphere_area(k) * sphere_area(k - 1) * fact / sphere_area(n)
-        else:
-            value = math.pi * _sign((k - 1) // 2) * sphere_area(n - k - 1) \
-                * sphere_area(k - 1) * fact
+        name, parity = "log", 1
+        factor = math.pi * _sign((k - 1) // 2)
     elif kind == SHIFTED_DUAL:
-        if k % 2 != 0:
-            raise ValueError("the shifted-dual pipeline requires even k")
-        # a great k-sphere near x passes as near -x: S^n sees f(x) + f(-x)
-        value = _sign(k // 2) * fact * sphere_area(k - 1) * space.curvature.folds
+        name, parity = "shifted-dual", 0
+        factor = _sign(k // 2)
     else:
         raise ValueError(f"unknown inversion kind {kind!r}")
-    return InversionConstant(value=value, kind=kind, space_kind=space.kind,
-                             n=n, k=k)
+    if k % 2 != parity:
+        raise ValueError(f"the {name} pipeline requires "
+                         f"{('even', 'odd')[parity]} k")
+    value = factor
+    if kind != SHIFTED_DUAL:
+        value *= sphere_area(n - k - 1) * space.measure_scale
+    value = value * sphere_area(k - 1) * math.factorial(k - 1) \
+        * space.curvature.folds
+    return InversionConstant(value, kind)
 
 
 def lambda_weight(space: Space, r):

@@ -70,7 +70,11 @@ class BothSides(NamedTuple):
     rhs: float
 
 
-def _mc_estimate(vals: np.ndarray) -> McEstimate:
+def _mc_mean(seed: int, samples: int, draw) -> McEstimate:
+    """Mean and standard error of draw(rng) over `samples` draws from one
+    generator seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    vals = np.array([draw(rng) for _ in range(samples)], dtype=float)
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
@@ -120,12 +124,11 @@ def dual_shifted_mc(space: Space, phi: Callable[[Geodesic], float], x: Point,
                     r: float, cfg: DualConfig | None = None) -> McEstimate:
     """Monte Carlo average of phi over geodesics at distance value r from x."""
     cfg = cfg or DualConfig()
-    rng = np.random.default_rng(cfg.seed)
-    vals = np.empty(cfg.mc_samples)
-    for i in range(cfg.mc_samples):
-        rot = haar_stabilizer(space, rng)
-        vals[i] = phi(geodesic_at_distance(space, x, r, rot))
-    return _mc_estimate(vals)
+
+    def draw(rng):
+        return phi(geodesic_at_distance(space, x, r, haar_stabilizer(space, rng)))
+
+    return _mc_mean(cfg.seed, cfg.mc_samples, draw)
 
 
 class _Reduction:
@@ -257,44 +260,37 @@ def Lambda_r(space: Space, f: ScalarField, x: Point, r: float, k: int,
     return r ** k * float(np.dot(wo, vals))
 
 
-def _lhs_euclidean(space: Space, phi, a, x: Point, cfg: DualConfig,
-                   proposal_std: float = 2.5) -> McEstimate:
-    # product-measure sampler: Haar subspace x Gaussian offset with density weight
-    rng = np.random.default_rng(cfg.seed + 1)
+# spread of the Gaussian offset proposal of the Euclidean sampler
+_PROPOSAL_STD = 2.5
+
+
+def _euclidean_draw(space: Space):
+    # product-measure sampler: Haar subspace x Gaussian offset, weighted by
+    # the inverse proposal density
     n, k = space.n, space.k
     d = n - k
-    log_norm = -0.5 * d * math.log(2.0 * math.pi * proposal_std ** 2)
-    vals = np.empty(cfg.mc_samples)
-    for i in range(cfg.mc_samples):
+    log_norm = -0.5 * d * math.log(2.0 * math.pi * _PROPOSAL_STD ** 2)
+
+    def draw(rng):
         q = haar_orthogonal(n, rng)
-        b = q[:, :k]
-        z = proposal_std * rng.standard_normal(d)
-        u = q[:, k:] @ z
-        xi = Geodesic(b, u)
-        rho = distance_rho(space, x, xi)
-        dens = math.exp(log_norm - 0.5 * float(z @ z) / proposal_std ** 2)
-        vals[i] = phi(xi) * a(rho) / dens
-    return _mc_estimate(vals)
+        z = _PROPOSAL_STD * rng.standard_normal(d)
+        dens = math.exp(log_norm - 0.5 * float(z @ z) / _PROPOSAL_STD ** 2)
+        return Geodesic(q[:, :k], q[:, k:] @ z), 1.0 / dens
+    return draw
 
 
-def _lhs_sphere(space: Space, phi, a, x: Point, cfg: DualConfig) -> McEstimate:
+def _sphere_draw(space: Space):
     # normalized invariant measure on the compact submanifold space
-    rng = np.random.default_rng(cfg.seed + 1)
-    k = space.k
-    vals = np.empty(cfg.mc_samples)
-    for i in range(cfg.mc_samples):
+    def draw(rng):
         q = haar_orthogonal(space.n + 1, rng)
-        xi = Geodesic(q[:, :k + 1], None)
-        vals[i] = phi(xi) * a(distance_rho(space, x, xi))
-    return _mc_estimate(vals)
+        return Geodesic(q[:, :space.k + 1], None), 1.0
+    return draw
 
 
-def _lhs_hyperbolic(space: Space, phi, a, x: Point, cfg: DualConfig,
-                    theta_max: float) -> McEstimate:
+def _hyperbolic_draw(space: Space, x: Point, theta_max: float):
     # invariant measure written around a fixed auxiliary point z != x, with
     # the rapidity density as importance weight; independent of the
     # distance-to-x disintegration under test
-    rng = np.random.default_rng(cfg.seed + 1)
     n, k = space.n, space.k
     # the anchor lies at distance 0.8 from the base point, or 1.3 if x is there
     for anchor_dist in (0.8, 1.3):
@@ -304,15 +300,14 @@ def _lhs_hyperbolic(space: Space, phi, a, x: Point, cfg: DualConfig,
             break
     rz = transport_to(space, point(space, z))
     sig = sphere_area(n - k - 1)
-    vals = np.empty(cfg.mc_samples)
-    for i in range(cfg.mc_samples):
+
+    def draw(rng):
         th = theta_max * rng.random()
         gam = haar_stabilizer(space, rng)
         m = rz @ gam.matrix @ g_theta(space, -th)
-        xi = Geodesic(m[:, n - k:], None)
         nu = math.sinh(th) ** (n - k - 1) * math.cosh(th) ** k
-        vals[i] = sig * theta_max * nu * phi(xi) * a(distance_rho(space, x, xi))
-    return _mc_estimate(vals)
+        return Geodesic(m[:, n - k:], None), sig * theta_max * nu
+    return draw
 
 
 def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
@@ -329,17 +324,21 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
     cfg = cfg or DualConfig()
     n, k = space.n, space.k
     model = space.curvature
-
-    def phi(xi):
-        return radon_forward(space, f, xi, nodes=cfg.forward_nodes)
-
     hi = min(_radial_cap(space, f, x, cfg) + 1.0, model.rho_max)
+    # each sampler draws (geodesic, weight) from the invariant measure
     if space.is_euclidean:
-        lhs = _lhs_euclidean(space, phi, a, x, cfg)
+        submanifold = _euclidean_draw(space)
     elif space.is_sphere:
-        lhs = _lhs_sphere(space, phi, a, x, cfg)
+        submanifold = _sphere_draw(space)
     else:
-        lhs = _lhs_hyperbolic(space, phi, a, x, cfg, hi)
+        submanifold = _hyperbolic_draw(space, x, hi)
+
+    def draw(rng):
+        xi, weight = submanifold(rng)
+        return weight * radon_forward(space, f, xi, nodes=cfg.forward_nodes) \
+            * a(distance_rho(space, x, xi))
+
+    lhs = _mc_mean(cfg.seed + 1, cfg.mc_samples, draw)
     edges = sorted({0.0, hi, *(float(model.asn(b)) for b in a_breaks
                                if 0.0 < b < model.sn(hi))})
     rhs = 0.0

@@ -29,6 +29,7 @@ __all__ = [
 # a parity-restricted fit is trusted only when it reproduces the profile to
 # well below the quadrature noise floor
 _PARITY_RESIDUAL_TOL = 1e-6
+_S_CAP = 8.0
 
 
 @dataclass
@@ -37,7 +38,6 @@ class GridSpec:
 
     h: float = 0.02
     j_max: int = 24
-    fit_degree: int | None = None
 
 
 @dataclass
@@ -76,6 +76,17 @@ def _fit(profile: RadialProfile, order: int, degree: int, preferred: str):
     return endpoint_derivative(profile, order, min(degree + 4, cap), None)
 
 
+def _reconstruct(grid, values, order: int, degree: int, basis: str,
+                 const: InversionConstant, truth: float | None) -> InversionReport:
+    """Fit the profile sampled on grid, take its order-th derivative at 0 and
+    divide it by the pipeline's constant."""
+    profile = RadialProfile(grid, values)
+    deriv, res = _fit(profile, order, degree, basis)
+    return InversionReport(estimate=deriv / const.value, truth=truth,
+                           profile=profile, derivative_order=order,
+                           constant_used=const, conditioning=res)
+
+
 def invert_mader(space: Space, f: ScalarField, x: Point,
                  cfg: DualConfig | None = None,
                  grid: GridSpec | None = None) -> InversionReport:
@@ -88,22 +99,12 @@ def invert_mader(space: Space, f: ScalarField, x: Point,
     cfg = cfg or DualConfig()
     grid = grid or GridSpec()
     k = space.k
+    even = k % 2 == 0
+    const = inversion_constant(space, SGN_EVEN if even else LOG_ODD)
+    operator = l_star_profile if even else l_tilde_star_profile
     rs = grid.h * f.scale * np.arange(grid.j_max + 1)
-    if k % 2 == 0:
-        vals = l_star_profile(space, f, x, rs, cfg)
-        const = inversion_constant(space, SGN_EVEN)
-        preferred = "odd_const"
-    else:
-        vals = l_tilde_star_profile(space, f, x, rs, cfg)
-        const = inversion_constant(space, LOG_ODD)
-        preferred = "even"
-    profile = RadialProfile(rs, vals)
-    order = k + 1
-    degree = grid.fit_degree if grid.fit_degree is not None else k + 3
-    deriv, res = _fit(profile, order, degree, preferred)
-    return InversionReport(estimate=deriv / const.value, truth=f.at(x),
-                           profile=profile, derivative_order=order,
-                           constant_used=const, conditioning=res)
+    return _reconstruct(rs, operator(space, f, x, rs, cfg), k + 1, k + 3,
+                        "odd_const" if even else "even", const, f.at(x))
 
 
 def invert_shifted_dual(space: Space, f: ScalarField, x: Point,
@@ -113,18 +114,11 @@ def invert_shifted_dual(space: Space, f: ScalarField, x: Point,
     cfg = cfg or DualConfig()
     grid = grid or GridSpec()
     k = space.k
-    if k % 2 != 0:
-        raise ValueError("the shifted-dual pipeline requires even k")
+    const = inversion_constant(space, SHIFTED_DUAL)
     rs = grid.h * f.scale * np.arange(grid.j_max + 1)
     vals = np.array([dual_shifted_mean(space, f, x, float(r), cfg) for r in rs])
-    vals *= np.asarray(lambda_weight(space, rs))
-    const = inversion_constant(space, SHIFTED_DUAL)
-    profile = RadialProfile(rs, vals)
-    degree = grid.fit_degree if grid.fit_degree is not None else k + 2
-    deriv, res = _fit(profile, k, degree, "even")
-    return InversionReport(estimate=deriv / const.value, truth=f.at(x),
-                           profile=profile, derivative_order=k,
-                           constant_used=const, conditioning=res)
+    return _reconstruct(rs, vals * lambda_weight(space, rs), k, k + 2, "even",
+                        const, f.at(x))
 
 
 def mader_radial_average(n: int, g, x: np.ndarray, s, polar_nodes: int = 64):
@@ -145,47 +139,40 @@ def mader_radial_average(n: int, g, x: np.ndarray, s, polar_nodes: int = 64):
 
 def mader_classical(n: int, g, x: np.ndarray,
                     grid: GridSpec | None = None,
-                    data_scale: float = 1.0,
                     truth: float | None = None,
                     quad_nodes: int = 96,
                     polar_nodes: int = 64) -> InversionReport:
     """The classical hyperplane inversion via n-fold differentiation at t = 0.
 
     Even n pairs the log kernel with an even profile; odd n pairs the sgn
-    kernel with an odd profile. The s-integrals truncate at 8 data scales.
+    kernel with an odd profile. The s-integrals truncate at |s| = 8.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     grid = grid or GridSpec()
-    x = np.asarray(x, dtype=float)
-    s_cap = 8.0 * data_scale
 
     def big_g(svals):
         return mader_radial_average(n, g, x, svals, polar_nodes)
 
-    ts = grid.h * data_scale * np.arange(-grid.j_max, grid.j_max + 1)
-    fvals = np.empty(ts.size)
     if n % 2 == 0:
-        for i, t in enumerate(ts):
-            fvals[i] = quad_log_singular(
-                lambda s: big_g(s) * np.log(np.abs(s - t)), -s_cap, s_cap,
-                s=float(t), target=1e-11)
-        const_val = classical_log_constant(n)
-        preferred = "even"
-        kind = "classical_log"
+        const = InversionConstant(1.0 / classical_log_constant(n),
+                                  "classical_log")
+        basis = "even"
+
+        def transform(t):
+            return quad_log_singular(
+                lambda s: big_g(s) * np.log(np.abs(s - t)), -_S_CAP, _S_CAP,
+                s=t, target=1e-11)
     else:
-        for i, t in enumerate(ts):
-            lo, wlo = gl_nodes(-s_cap, float(t), quad_nodes, panels=2)
-            hi, whi = gl_nodes(float(t), s_cap, quad_nodes, panels=2)
-            fvals[i] = float(np.dot(whi, big_g(hi)) - np.dot(wlo, big_g(lo)))
-        const_val = classical_sgn_constant(n)
-        preferred = "odd"
-        kind = "classical_sgn"
-    profile = RadialProfile(ts, fvals)
-    degree = grid.fit_degree if grid.fit_degree is not None else n + 3
-    deriv, res = _fit(profile, n, degree, preferred)
-    const = InversionConstant(value=1.0 / const_val, kind=kind,
-                              space_kind="euclidean", n=n, k=n - 1)
-    return InversionReport(estimate=const_val * deriv, truth=truth,
-                           profile=profile, derivative_order=n,
-                           constant_used=const, conditioning=res)
+        const = InversionConstant(1.0 / classical_sgn_constant(n),
+                                  "classical_sgn")
+        basis = "odd"
+
+        def transform(t):
+            lo, wlo = gl_nodes(-_S_CAP, t, quad_nodes, panels=2)
+            hi, whi = gl_nodes(t, _S_CAP, quad_nodes, panels=2)
+            return float(np.dot(whi, big_g(hi)) - np.dot(wlo, big_g(lo)))
+
+    ts = grid.h * np.arange(-grid.j_max, grid.j_max + 1)
+    return _reconstruct(ts, [transform(float(t)) for t in ts], n, n + 3,
+                        basis, const, truth)

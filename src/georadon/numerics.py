@@ -82,6 +82,10 @@ def integrate_gl(f, a: float, b: float, n: int = 64, panels: int = 1) -> float:
     return float(np.dot(w, f(x)))
 
 
+# panels per side of each geometric grading in quad_log_singular
+_GRADING_LEVELS = 60
+
+
 def _panel_sum(f, s: float, edges, rule) -> float:
     total = 0.0
     for lo, hi in edges:
@@ -92,7 +96,7 @@ def _panel_sum(f, s: float, edges, rule) -> float:
     return total
 
 
-def _graded_half(f, s: float, length: float, n: int, levels: int) -> float:
+def _graded_half(f, s: float, length: float, n: int) -> float:
     # integral over x in (s, s+length) with x = s + w^2; panels graded
     # geometrically toward w = 0 (log taming) and toward the outer endpoint
     # (integrable endpoint weights like sqrt(1-x^2))
@@ -105,14 +109,14 @@ def _graded_half(f, s: float, length: float, n: int, levels: int) -> float:
     wmid = wmax / math.sqrt(2.0)
     edges = []
     hi = wmid
-    for _ in range(levels):
+    for _ in range(_GRADING_LEVELS):
         if hi <= floor:
             break
         edges.append((0.5 * hi, hi))
         hi = 0.5 * hi
     gap = wmax - wmid
     lo = wmid
-    for j in range(levels):
+    for j in range(_GRADING_LEVELS):
         step = gap * 2.0 ** -(j + 1)
         edges.append((lo, lo + step))
         lo += step
@@ -121,25 +125,26 @@ def _graded_half(f, s: float, length: float, n: int, levels: int) -> float:
     return _panel_sum(f, s, edges, rule)
 
 
-def quad_log_singular(f, a: float, b: float, s: float, target: float = 1e-10,
-                      n: int = 24, levels: int = 60) -> float:
+def quad_log_singular(f, a: float, b: float, s: float,
+                      target: float = 1e-10) -> float:
     """Integrate f over [a, b] when f has at worst a log singularity at s.
 
     Splits at s and substitutes distance = w^2 on each side; panels are
     graded geometrically toward the singular point. Accepted only after two
-    successive refinements (doubled node count) agree within `target`.
+    successive refinements (24, 48, then 96 nodes per panel) agree within
+    `target`.
     """
     if not a <= s <= b:
         raise ValueError(f"singular point {s} outside [{a}, {b}]")
 
     def attempt(order):
-        return (_graded_half(lambda x: f(x), s, b - s, order, levels)
-                + _graded_half(lambda x: f(2.0 * s - x), s, s - a, order, levels))
+        return (_graded_half(f, s, b - s, order)
+                + _graded_half(lambda x: f(2.0 * s - x), s, s - a, order))
 
-    coarse = attempt(n)
-    fine = attempt(2 * n)
+    coarse = attempt(24)
+    fine = attempt(48)
     if abs(fine - coarse) > target:
-        finer = attempt(4 * n)
+        finer = attempt(96)
         if abs(finer - fine) > target:
             raise ValueError(
                 "quad_log_singular did not converge; integrand is likely "

@@ -46,6 +46,18 @@ def test_invert_mader_shifted_center():
     assert payload["rel_error"] < 1e-3
 
 
+def test_invert_mader_quadrature_flags():
+    # --quad-nodes and --mean-polar reach the classical pipeline
+    args = ("invert", "--space", "euclidean", "--n", "3", "--k", "2",
+            "--theorem", "mader", "--point", "0.1,0,0", "--center",
+            "0.2,0,0.1")
+    default = json.loads(run_cli(*args))
+    coarse = json.loads(run_cli(*args, "--mean-polar", "16",
+                                "--quad-nodes", "48"))
+    assert coarse["estimate"] != default["estimate"]
+    assert coarse["rel_error"] < 1e-3
+
+
 def test_invert_theorem2_parity_guard():
     run_cli("invert", "--space", "euclidean", "--n", "2", "--k", "1",
             "--theorem", "2", "--phantom", "gaussian", "--point", "0,0",

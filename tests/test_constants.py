@@ -56,6 +56,12 @@ def test_sphere_sgn_even_forms():
     assert resolved == pytest.approx(2.0 * printed)
     assert printed == pytest.approx(
         2 * sphere_area(1) * sphere_area(2) * sphere_area(1) / sphere_area(4))
+    # k = 4 fixes the sign as well: 2(-1)^((k+2)/2) = -2
+    sp54 = Space("sphere", 5, 4)
+    resolved = inversion_constant(sp54, SGN_EVEN).value
+    printed = inversion_constant(sp54, SGN_EVEN, printed_form=True).value
+    assert resolved == pytest.approx(-2.0 * printed)
+    assert resolved == pytest.approx(-256 * math.pi)
 
 
 def test_inversion_constant_parity_mismatch():

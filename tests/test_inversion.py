@@ -115,6 +115,19 @@ def test_sphere_sign_factor_negative_branch():
     assert rep.estimate == pytest.approx(1.0, abs=5e-3)
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+def test_truncation_reconstructs_constant(kind):
+    # a constant field never decays: only DualConfig.truncation bounds the
+    # radial integrals, and without it the pipeline refuses
+    space = Space(kind, 2, 1)
+    f = make_phantom(space, "constant-even")
+    x = base_point(space)
+    rep = invert_mader(space, f, x, DualConfig(truncation=3.0))
+    assert rep.rel_error < 1e-4
+    with pytest.raises(ValueError, match="truncation"):
+        invert_mader(space, f, x)
+
+
 def test_translation_equivariance():
     # the shifted gaussian reconstructed at its own center matches the
     # centered reconstruction
