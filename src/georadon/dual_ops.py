@@ -74,7 +74,8 @@ def _mc_mean(seed: int, samples: int, draw) -> McEstimate:
     """Mean and standard error of draw(rng) over `samples` draws from one
     generator seeded with `seed`."""
     rng = np.random.default_rng(seed)
-    vals = np.array([draw(rng) for _ in range(samples)], dtype=float)
+    vals = np.fromiter((draw(rng) for _ in range(samples)), dtype=float,
+                       count=samples)
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
