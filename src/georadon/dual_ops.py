@@ -275,8 +275,8 @@ def _euclidean_draw(space: Space):
     def draw(rng):
         q = haar_orthogonal(n, rng)
         z = _PROPOSAL_STD * rng.standard_normal(d)
-        dens = math.exp(log_norm - 0.5 * float(z @ z) / _PROPOSAL_STD ** 2)
-        return Geodesic(q[:, :k], q[:, k:] @ z), 1.0 / dens
+        weight = math.exp(0.5 * float(z @ z) / _PROPOSAL_STD ** 2 - log_norm)
+        return Geodesic(q[:, :k], q[:, k:] @ z), weight
     return draw
 
 
