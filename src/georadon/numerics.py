@@ -82,7 +82,7 @@ def integrate_gl(f, a: float, b: float, n: int = 64, panels: int = 1) -> float:
     return float(np.dot(w, f(x)))
 
 
-# panels per side of each geometric grading in quad_log_singular
+# most panels in each geometric grading of quad_log_singular
 _GRADING_LEVELS = 60
 
 
