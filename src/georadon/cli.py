@@ -23,7 +23,7 @@ from .dual_ops import (DualConfig, dual_shifted_mc, dual_shifted_mean,
 from .fields import make_phantom
 from .geometry import (EUCLIDEAN, Point, Space, base_point, haar_rotation,
                        geodesic_at_distance, point)
-from .inversion import GridSpec, invert_mader, invert_shifted_dual, \
+from .inversion import S_CAP, GridSpec, invert_mader, invert_shifted_dual, \
     mader_classical
 from .kernels import KernelParams, phi_closed, phi_oracle, psi_k_closed, \
     psi_sign
@@ -196,6 +196,11 @@ def cmd_invert(args) -> int:
         if space.kind != EUCLIDEAN or args.phantom != "gaussian":
             print("error: the classical pipeline is wired for the euclidean "
                   "gaussian phantom", file=sys.stderr)
+            return 1
+        if args.truncation is not None:
+            print("error: --truncation does not apply to --theorem mader, "
+                  f"whose s-integrals stop at the fixed cut |s| = {S_CAP:g}",
+                  file=sys.stderr)
             return 1
         n = space.n
         amp = math.pi ** ((n - 1) / 2.0)

@@ -43,7 +43,12 @@ __all__ = [
 
 @dataclass
 class DualConfig:
-    """Numeric settings for the dual-transform machinery."""
+    """Numeric settings for the dual-transform machinery.
+
+    mean_polar is the node count p of `spherical_mean`: p Gauss-Gegenbauer
+    nodes for a field with a zonal profile, in any dimension, and p polar
+    nodes per angle, 2 p^(n-1) directions, of the product rule otherwise.
+    """
 
     mc_samples: int = 4000
     quad_nodes: int = 96

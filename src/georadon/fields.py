@@ -21,6 +21,11 @@ class ScalarField:
     decay_scale is the (geodesic) radius around `center` beyond which
     |f| < 1e-14; infinite for fields without decay. scale sets the natural
     length unit used to size derivative grids.
+
+    zonal, when set, is a profile (a, h) with f(y) = h(q(y)) for
+    q(y) = |y - a|^2 on R^n, y . a on S^n and [y, a] on H^n; `spherical_mean`
+    then averages h over a one-dimensional rule. Fields without it, such as
+    `rotate_field` output, are averaged over the product rule.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -28,6 +33,7 @@ class ScalarField:
     name: str = ""
     center: np.ndarray | None = None
     scale: float = 1.0
+    zonal: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(pts, dtype=float))
@@ -47,7 +53,8 @@ def _gaussian(space: Space, center=None) -> ScalarField:
         d = pts - c
         return np.exp(-np.sum(d * d, axis=-1))
 
-    return ScalarField(ev, decay_scale=6.0, name="gaussian", center=c.copy())
+    return ScalarField(ev, decay_scale=6.0, name="gaussian", center=c.copy(),
+                       zonal=(c.copy(), lambda q: np.exp(-q)))
 
 
 def _constant(space: Space) -> ScalarField:
@@ -56,7 +63,8 @@ def _constant(space: Space) -> ScalarField:
 
     decay = math.pi if space.kind == SPHERE else math.inf
     return ScalarField(ev, decay_scale=decay, name="constant-even",
-                       center=base_point(space).coords)
+                       center=base_point(space).coords,
+                       zonal=(base_point(space).coords, np.ones_like))
 
 
 def _radial_hyperbolic(space: Space, power: int = 6) -> ScalarField:
@@ -71,7 +79,9 @@ def _radial_hyperbolic(space: Space, power: int = 6) -> ScalarField:
 
     decay = math.acosh(10.0 ** (14.0 / power))
     return ScalarField(ev, decay_scale=decay, name="radial-hyperbolic",
-                       center=base_point(space).coords)
+                       center=base_point(space).coords,
+                       zonal=(base_point(space).coords,
+                              lambda q: q ** float(-power)))
 
 
 def _even_poly(space: Space) -> ScalarField:
@@ -81,8 +91,11 @@ def _even_poly(space: Space) -> ScalarField:
     def ev(pts):
         return 1.0 + pts[..., 0] ** 2
 
+    axis = np.zeros(space.ambient_dim)
+    axis[0] = 1.0
     return ScalarField(ev, decay_scale=math.pi, name="even-poly",
-                       center=base_point(space).coords)
+                       center=base_point(space).coords,
+                       zonal=(axis, lambda q: 1.0 + q * q))
 
 
 PHANTOMS = {
@@ -103,7 +116,9 @@ def make_phantom(space: Space, name: str, **params) -> ScalarField:
 
 
 def rotate_field(space: Space, f: ScalarField, matrix: np.ndarray) -> ScalarField:
-    """The pullback f o R (evaluates f at R y); center moves to R^-1 center."""
+    """The pullback f o R (evaluates f at R y); center moves to R^-1 center.
+    The result has no zonal profile: a pullback by an arbitrary matrix need
+    not be zonal."""
     m = np.asarray(matrix, dtype=float)
 
     def ev(pts):

@@ -94,6 +94,11 @@ class Curvature:
     rho_max: float
     folds: int  # radii in (0, folds * rho_max) that share one value of sn
 
+    def form(self, x: np.ndarray, y: np.ndarray) -> float:
+        """The bilinear form diag(kappa, ..., kappa, 1) of the curved models:
+        x . y on S^n and the Lorentz form [x, y] on H^n."""
+        return self.kappa * float(x[:-1] @ y[:-1]) + float(x[-1] * y[-1])
+
     def hypot_t(self, theta, v):
         """mean_t of the hypotenuse of a right triangle with legs theta, v."""
         if self.kappa == 0.0:

@@ -29,7 +29,8 @@ __all__ = [
 # a parity-restricted fit is trusted only when it reproduces the profile to
 # well below the quadrature noise floor
 _PARITY_RESIDUAL_TOL = 1e-6
-_S_CAP = 8.0
+# the classical pipeline's s-integrals stop at |s| = S_CAP
+S_CAP = 8.0
 
 
 @dataclass
@@ -161,7 +162,7 @@ def mader_classical(n: int, g, x: np.ndarray,
 
         def transform(t):
             return quad_log_singular(
-                lambda s: big_g(s) * np.log(np.abs(s - t)), -_S_CAP, _S_CAP,
+                lambda s: big_g(s) * np.log(np.abs(s - t)), -S_CAP, S_CAP,
                 s=t, target=1e-11)
     else:
         const = InversionConstant(1.0 / classical_sgn_constant(n),
@@ -169,8 +170,8 @@ def mader_classical(n: int, g, x: np.ndarray,
         basis = "odd"
 
         def transform(t):
-            lo, wlo = gl_nodes(-_S_CAP, t, quad_nodes, panels=2)
-            hi, whi = gl_nodes(t, _S_CAP, quad_nodes, panels=2)
+            lo, wlo = gl_nodes(-S_CAP, t, quad_nodes, panels=2)
+            hi, whi = gl_nodes(t, S_CAP, quad_nodes, panels=2)
             return float(np.dot(whi, big_g(hi)) - np.dot(wlo, big_g(lo)))
 
     ts = grid.h * np.arange(-grid.j_max, grid.j_max + 1)

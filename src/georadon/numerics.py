@@ -17,6 +17,7 @@ __all__ = [
     "quad_log_singular",
     "endpoint_derivative",
     "sphere_rule",
+    "zonal_rule",
 ]
 
 
@@ -230,3 +231,38 @@ def sphere_rule(m: int, polar_nodes: int = 64):
     pts.flags.writeable = False
     wts.flags.writeable = False
     return pts, wts
+
+
+@lru_cache(maxsize=None)
+def zonal_rule(m: int, polar_nodes: int = 64):
+    """Gauss-Gegenbauer rule for the cosine u to a fixed axis on S^m, m >= 1.
+
+    Returns (nodes, weights) of the p-node Gauss rule on (-1, 1) for the
+    weight (1 - u^2)^((m-2)/2), the law of u under the normalised measure of
+    S^m; the weights sum to 1. By the Funk-Hecke formula the mean of a zonal
+    function h(u) over S^m is sum_j w_j h(u_j), exact for polynomials of
+    degree below 2p. Built by Golub-Welsch from the Gegenbauer recurrence;
+    m = 1 is Gauss-Chebyshev, whose first coefficient 1/2 the general formula
+    leaves as 0/0.
+    """
+    if m < 1:
+        raise ValueError("zonal rule needs a sphere of dimension >= 1")
+    if polar_nodes < 1:
+        raise ValueError(f"zonal rule needs at least one node, got {polar_nodes}")
+    j = np.arange(1.0, polar_nodes)
+    if m == 1:
+        b = np.full(j.size, 0.25)
+        b[:1] = 0.5
+    else:
+        a2 = m - 2.0
+        b = j * (j + a2) / ((2.0 * j + a2) ** 2 - 1.0)
+    off = np.sqrt(b)
+    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    # symmetrize against roundoff so that odd moments vanish exactly
+    x = 0.5 * (x - x[::-1])
+    w = vecs[0] ** 2
+    w = w + w[::-1]
+    w /= w.sum()
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w

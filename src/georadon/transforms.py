@@ -9,7 +9,7 @@ import numpy as np
 from .fields import ScalarField
 from .geometry import (Geodesic, Point, Space, base_point, lorentz_dot,
                        sphere_area, transport_to)
-from .numerics import gl_nodes, sphere_rule
+from .numerics import gl_nodes, sphere_rule, zonal_rule
 
 __all__ = [
     "radon_forward",
@@ -30,7 +30,9 @@ def spherical_mean(space: Space, f: ScalarField, x: Point, t,
     Sphere: mean over the section {x . y = t}, -1 < t <= 1.
     Hyperbolic: mean over {[x, y] = t}, t >= 1. The t = 1 (sphere/hyperbolic)
     endpoint is the degenerate section {x}, where the mean is f(x).
-    Vectorized over a 1-d array of t values.
+    Vectorized over a 1-d array of t values. A field with a zonal profile is
+    averaged over the polar_nodes-node `zonal_rule`; any other field over the
+    2 polar_nodes^(n-1) directions of `sphere_rule`.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     scalar_in = np.ndim(t) == 0
@@ -40,6 +42,37 @@ def spherical_mean(space: Space, f: ScalarField, x: Point, t,
         raise ValueError("sphere mean requires -1 < t <= 1")
     if space.is_hyperbolic and np.any(t_arr < 1.0):
         raise ValueError("hyperbolic mean requires t >= 1")
+    mean = _product_mean if f.zonal is None else _zonal_mean
+    vals = mean(space, f, x, t_arr, polar_nodes)
+    return float(vals[0]) if scalar_in else vals
+
+
+def _section_radius(space: Space, t_arr: np.ndarray) -> np.ndarray:
+    # the curved section at t is the geodesic sphere of radius sn with cs = t
+    kappa = space.curvature.kappa
+    return np.sqrt(np.maximum(0.0, kappa * (1.0 - t_arr * t_arr)))
+
+
+def _zonal_mean(space: Space, f: ScalarField, x: Point, t_arr: np.ndarray,
+                polar_nodes: int) -> np.ndarray:
+    # on the section at t the profile variable is q = alpha + beta u, affine
+    # in the cosine u of the angle to the axis (Funk-Hecke)
+    axis, h = f.zonal
+    u, w = zonal_rule(space.n - 1, polar_nodes)
+    model = space.curvature
+    if space.is_euclidean:
+        d = float(np.linalg.norm(x.coords - axis))
+        alpha, beta = d * d + t_arr * t_arr, 2.0 * d * t_arr
+    else:
+        c = model.form(x.coords, axis)
+        alpha = t_arr * c
+        beta = _section_radius(space, t_arr) \
+            * math.sqrt(max(0.0, model.kappa * (1.0 - c * c)))
+    return h(alpha[:, None] + beta[:, None] * u[None, :]) @ w
+
+
+def _product_mean(space: Space, f: ScalarField, x: Point, t_arr: np.ndarray,
+                  polar_nodes: int) -> np.ndarray:
     dirs, w = sphere_rule(space.n - 1, polar_nodes)
     n_dirs = dirs.shape[0]
     nbytes = 8 * t_arr.size * n_dirs * space.ambient_dim
@@ -53,15 +86,12 @@ def spherical_mean(space: Space, f: ScalarField, x: Point, t,
     if space.is_euclidean:
         pts = x.coords[None, None, :] + t_arr[:, None, None] * dirs[None, :, :]
     else:
-        # the section at t is the geodesic sphere of radius sn with cs = t
-        kappa = space.curvature.kappa
-        s = np.sqrt(np.maximum(0.0, kappa * (1.0 - t_arr * t_arr)))
+        s = _section_radius(space, t_arr)
         local = np.empty((t_arr.size, dirs.shape[0], space.n + 1))
         local[:, :, :space.n] = s[:, None, None] * dirs[None, :, :]
         local[:, :, space.n] = t_arr[:, None]
         pts = local @ transport_to(space, x).T
-    vals = f(pts) @ w / area
-    return float(vals[0]) if scalar_in else vals
+    return f(pts) @ w / area
 
 
 def tilde_mean(space: Space, f: ScalarField, x: Point, t,

@@ -58,6 +58,18 @@ def test_invert_mader_quadrature_flags():
     assert coarse["rel_error"] < 1e-3
 
 
+def test_invert_mader_refuses_truncation():
+    proc = subprocess.run(
+        [sys.executable, "-m", "georadon.cli", "invert", "--space",
+         "euclidean", "--n", "2", "--k", "1", "--theorem", "mader",
+         "--point", "0.3,0", "--truncation", "0.5"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "--truncation" in proc.stderr
+    assert "|s| = 8" in proc.stderr
+
+
 def test_invert_theorem2_parity_guard():
     run_cli("invert", "--space", "euclidean", "--n", "2", "--k", "1",
             "--theorem", "2", "--phantom", "gaussian", "--point", "0,0",

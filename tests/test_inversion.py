@@ -190,3 +190,50 @@ def test_report_fields():
     assert rep.profile.grid.size == 17
     assert rep.conditioning < 1e-6
     assert rep.constant_used.kind == "log_odd"
+
+
+def _sphere_case(n: int):
+    v = np.zeros(n + 1)
+    v[0], v[1] = 0.5, 0.3
+    v[-1] = math.sqrt(1.0 - 0.25 - 0.09)
+    return "even-poly", {}, v
+
+
+def _hyperbolic_case(n: int):
+    w = np.zeros(n)
+    w[0], w[1] = 0.3, 0.2
+    r = float(np.linalg.norm(w))
+    return "radial-hyperbolic", {}, np.append(math.sinh(r) * w / r,
+                                              math.cosh(r))
+
+
+def _euclidean_case(n: int):
+    center = np.zeros(n)
+    center[0] = 0.1
+    x = np.zeros(n)
+    x[:2] = 0.2, 0.1
+    return "gaussian", {"center": center}, x
+
+
+# n >= 4 at the default DualConfig and GridSpec: every phantom has a zonal
+# profile, so its means never build the 2 p^(n-1)-direction product rule
+HIGH_DIM_CASES = [
+    ("euclidean", 4, 2, "mader"), ("euclidean", 4, 2, "shifted"),
+    ("euclidean", 5, 1, "mader"),
+    ("sphere", 4, 2, "mader"), ("sphere", 4, 2, "shifted"),
+    ("sphere", 5, 3, "mader"),
+    ("hyperbolic", 4, 2, "mader"), ("hyperbolic", 4, 2, "shifted"),
+]
+
+
+@pytest.mark.parametrize("kind,n,k,pipeline", HIGH_DIM_CASES)
+def test_high_dimension_reconstructions(kind, n, k, pipeline):
+    space = Space(kind, n, k)
+    case = {"euclidean": _euclidean_case, "sphere": _sphere_case,
+            "hyperbolic": _hyperbolic_case}[kind]
+    name, kwargs, coords = case(n)
+    f = make_phantom(space, name, **kwargs)
+    x = Point(coords) if kind == "euclidean" else point(space, coords)
+    invert = invert_mader if pipeline == "mader" else invert_shifted_dual
+    rep = invert(space, f, x)
+    assert rep.rel_error < (1e-3 if kind == "euclidean" else 5e-3)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from georadon.numerics import (RadialProfile, endpoint_derivative,
                                gauss_legendre, integrate_gl,
-                               quad_log_singular, sphere_rule)
+                               quad_log_singular, sphere_rule, zonal_rule)
 
 
 def test_gl_two_point_rule():
@@ -139,6 +139,41 @@ def test_sphere_rule_polynomial_moment():
     # int_{S^2} z^2 = 4 pi / 3
     pts, w = sphere_rule(2, 32)
     assert float(w @ pts[:, 2] ** 2) == pytest.approx(4 * math.pi / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+def test_zonal_rule_moments(m):
+    # E u^(2j) = prod_{i<j} (2i + 1) / (m + 1 + 2i) for the first coordinate
+    # u of a uniform point of S^m; 7 nodes are exact through degree 13
+    u, w = zonal_rule(m, 7)
+    assert float(w.sum()) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    want = 1.0
+    for j in range(7):
+        assert float(w @ u ** (2 * j)) == pytest.approx(want, rel=1e-14)
+        assert float(w @ u ** (2 * j + 1)) == pytest.approx(0.0, abs=1e-15)
+        want *= (2 * j + 1) / (m + 1 + 2 * j)
+
+
+def test_zonal_rule_matches_sphere_rule_axis_law():
+    # the same mean of a non-polynomial zonal function on S^2
+    pts, w = sphere_rule(2, 64)
+    u, wz = zonal_rule(2, 16)
+    want = float(w @ np.exp(3.0 * pts[:, 0])) / float(w.sum())
+    assert float(wz @ np.exp(3.0 * u)) == pytest.approx(want, rel=1e-14)
+
+
+def test_zonal_rule_chebyshev_and_validation():
+    # m = 1 is Gauss-Chebyshev: cos((2j - 1) pi / 2p), equal weights
+    p = 9
+    u, w = zonal_rule(1, p)
+    want = np.sort(np.cos((2 * np.arange(1, p + 1) - 1) * np.pi / (2 * p)))
+    assert u == pytest.approx(want, rel=0.0, abs=1e-14)
+    assert w == pytest.approx(np.full(p, 1.0 / p), rel=1e-13)
+    assert zonal_rule(5, 1)[0].tolist() == [0.0]
+    with pytest.raises(ValueError):
+        zonal_rule(0, 8)
+    with pytest.raises(ValueError):
+        zonal_rule(2, 0)
 
 
 def test_quadrature_determinism():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_point
 from georadon.constants import sphere_area
-from georadon.fields import make_phantom, rotate_field
+from georadon.fields import ScalarField, make_phantom, rotate_field
 from georadon.geometry import (Point, Rotation, Space, base_point, g_theta,
                                geodesic, geodesic_at_distance, haar_rotation,
                                point, rotate_geodesic)
@@ -140,8 +140,10 @@ def test_mean_profile_tilde_constant():
 
 
 def test_mean_refuses_oversized_block(monkeypatch):
-    # 3 t-values x 2*8^2 directions x 4 coordinates x 8 bytes = 12,288 bytes
-    f = make_phantom(Space("sphere", 3, 1), "even-poly")
+    # 3 t-values x 2*8^2 directions x 4 coordinates x 8 bytes = 12,288 bytes;
+    # a field without a zonal profile takes the guarded product rule
+    f = ScalarField(make_phantom(Space("sphere", 3, 1), "even-poly").evaluator,
+                    math.pi)
     x = point(Space("sphere", 3, 1), [0, 0, 0, 1.0])
     ts = [0.2, 0.5, 0.9]
     ok = spherical_mean(Space("sphere", 3, 1), f, x, ts, polar_nodes=8)
@@ -152,6 +154,79 @@ def test_mean_refuses_oversized_block(monkeypatch):
     with pytest.raises(ValueError, match=r"3 t-values x 128 directions x 4 "
                                          r"coordinates.*smaller mean_polar"):
         spherical_mean(Space("sphere", 3, 1), f, x, ts, polar_nodes=8)
+
+
+def _off_axis_point(space: Space):
+    if space.is_euclidean:
+        return Point(np.linspace(0.5, -0.3, space.n))
+    if space.is_sphere:
+        v = np.linspace(0.2, 1.0, space.n + 1)
+        return point(space, v / np.linalg.norm(v))
+    w = np.linspace(0.4, -0.3, space.n)
+    r = float(np.linalg.norm(w))
+    return point(space, np.append(math.sinh(r) * w / r, math.cosh(r)))
+
+
+# space, phantom, t-range spanning the mean's domain (R^n and H^n: to where
+# the phantom has decayed or, for the constant, well beyond the unit scale)
+ZONAL_CASES = [
+    (kind, n, name, t_range)
+    for n in (2, 3)
+    for kind, names, t_range in [
+        ("euclidean", ("gaussian", "constant-even"), (0.0, 6.0)),
+        ("sphere", ("even-poly", "constant-even"), (-0.999, 1.0)),
+        ("hyperbolic", ("radial-hyperbolic", "constant-even"), (1.0, 200.0)),
+    ]
+    for name in names
+]
+
+
+@pytest.mark.parametrize("kind,n,name,t_range", ZONAL_CASES)
+def test_zonal_mean_matches_product_rule(kind, n, name, t_range):
+    space = Space(kind, n, 1)
+    kwargs = {"center": np.linspace(-0.2, 0.3, n)} if name == "gaussian" else {}
+    f = make_phantom(space, name, **kwargs)
+    assert f.zonal is not None
+    plain = ScalarField(f.evaluator, f.decay_scale)
+    x = _off_axis_point(space)
+    ts = np.linspace(*t_range, 41)
+    oracle = spherical_mean(space, plain, x, ts, 128)
+    for p in (16, 64):
+        assert spherical_mean(space, f, x, ts, p) == pytest.approx(
+            oracle, rel=0.0, abs=1e-12)
+
+
+def test_zonal_even_poly_closed_form():
+    # E u^2 = 1/n for the cosine u to an axis in the n-dimensional tangent
+    # space, and 1 + q^2 has degree 2, so two nodes are exact
+    space = Space("sphere", 3, 1)
+    f = make_phantom(space, "even-poly")
+    x = _off_axis_point(space)
+    x0 = x.coords[0]
+    ts = np.linspace(-0.99, 1.0, 23)
+    want = 1.0 + ts * ts * x0 * x0 + (1.0 - ts * ts) * (1.0 - x0 * x0) / 3.0
+    assert spherical_mean(space, f, x, ts, 2) == pytest.approx(
+        want, rel=0.0, abs=1e-14)
+
+
+def test_rotated_field_has_no_zonal_profile():
+    f = make_phantom(EU3, "gaussian", center=[0.1, 0.0, 0.2])
+    assert f.zonal is not None
+    g = rotate_field(EU3, f, haar_rotation(EU3, 4).matrix)
+    assert g.zonal is None
+
+
+def test_mean_refuses_non_zonal_field_in_high_dimension():
+    # R^4 at the default 64 polar nodes: 2 * 64^3 = 524,288 directions
+    space = Space("euclidean", 4, 2)
+    f = make_phantom(space, "gaussian")
+    x = Point(np.zeros(4))
+    ts = np.linspace(0.0, 3.0, 384)
+    assert spherical_mean(space, f, x, ts) == pytest.approx(
+        np.exp(-ts * ts), rel=1e-12)
+    plain = rotate_field(space, f, np.eye(4))
+    with pytest.raises(ValueError, match="smaller mean_polar"):
+        spherical_mean(space, plain, x, ts)
 
 
 def test_euclidean_polar_consistency():
