@@ -91,11 +91,10 @@ def _even_poly(space: Space) -> ScalarField:
     def ev(pts):
         return 1.0 + pts[..., 0] ** 2
 
-    axis = np.zeros(space.ambient_dim)
-    axis[0] = 1.0
     return ScalarField(ev, decay_scale=math.pi, name="even-poly",
                        center=base_point(space).coords,
-                       zonal=(axis, lambda q: 1.0 + q * q))
+                       zonal=(np.eye(space.ambient_dim)[0],
+                              lambda q: 1.0 + q * q))
 
 
 PHANTOMS = {

@@ -247,8 +247,10 @@ def zonal_rule(m: int, polar_nodes: int = 64):
     """
     if m < 1:
         raise ValueError("zonal rule needs a sphere of dimension >= 1")
-    if polar_nodes < 1:
-        raise ValueError(f"zonal rule needs at least one node, got {polar_nodes}")
+    # the Jacobi matrix is dense: cap it where gauss_legendre caps its order
+    if not 1 <= polar_nodes <= 512:
+        raise ValueError(
+            f"zonal rule order must be in [1, 512], got {polar_nodes}")
     j = np.arange(1.0, polar_nodes)
     if m == 1:
         b = np.full(j.size, 0.25)

@@ -192,27 +192,21 @@ def test_report_fields():
     assert rep.constant_used.kind == "log_odd"
 
 
-def _sphere_case(n: int):
-    v = np.zeros(n + 1)
-    v[0], v[1] = 0.5, 0.3
-    v[-1] = math.sqrt(1.0 - 0.25 - 0.09)
-    return "even-poly", {}, v
-
-
-def _hyperbolic_case(n: int):
+def _high_dim_case(space: Space):
+    # an off-centre point and the space's non-constant phantom
+    n = space.n
     w = np.zeros(n)
-    w[0], w[1] = 0.3, 0.2
+    w[:2] = 0.3, 0.2
+    if space.is_euclidean:
+        return (make_phantom(space, "gaussian", center=np.eye(n)[0] * 0.1),
+                Point(w))
+    if space.is_sphere:
+        v = np.append(w, 0.0)
+        v[-1] = math.sqrt(1.0 - v @ v)
+        return make_phantom(space, "even-poly"), point(space, v)
     r = float(np.linalg.norm(w))
-    return "radial-hyperbolic", {}, np.append(math.sinh(r) * w / r,
-                                              math.cosh(r))
-
-
-def _euclidean_case(n: int):
-    center = np.zeros(n)
-    center[0] = 0.1
-    x = np.zeros(n)
-    x[:2] = 0.2, 0.1
-    return "gaussian", {"center": center}, x
+    return (make_phantom(space, "radial-hyperbolic"),
+            point(space, np.append(math.sinh(r) * w / r, math.cosh(r))))
 
 
 # n >= 4 at the default DualConfig and GridSpec: every phantom has a zonal
@@ -229,11 +223,7 @@ HIGH_DIM_CASES = [
 @pytest.mark.parametrize("kind,n,k,pipeline", HIGH_DIM_CASES)
 def test_high_dimension_reconstructions(kind, n, k, pipeline):
     space = Space(kind, n, k)
-    case = {"euclidean": _euclidean_case, "sphere": _sphere_case,
-            "hyperbolic": _hyperbolic_case}[kind]
-    name, kwargs, coords = case(n)
-    f = make_phantom(space, name, **kwargs)
-    x = Point(coords) if kind == "euclidean" else point(space, coords)
+    f, x = _high_dim_case(space)
     invert = invert_mader if pipeline == "mader" else invert_shifted_dual
     rep = invert(space, f, x)
-    assert rep.rel_error < (1e-3 if kind == "euclidean" else 5e-3)
+    assert rep.rel_error < (1e-3 if space.is_euclidean else 5e-3)

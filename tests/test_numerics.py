@@ -174,6 +174,8 @@ def test_zonal_rule_chebyshev_and_validation():
         zonal_rule(0, 8)
     with pytest.raises(ValueError):
         zonal_rule(2, 0)
+    with pytest.raises(ValueError, match=r"\[1, 512\]"):
+        zonal_rule(1, 513)
 
 
 def test_quadrature_determinism():
