@@ -7,7 +7,8 @@ from .constants import (LOG_ODD, SGN_EVEN, SHIFTED_DUAL, InversionConstant,
 from .dual_ops import (BothSides, DualConfig, Lambda_r, L_star, L_tilde_star,
                        McEstimate, dual_shifted_mc, dual_shifted_mean,
                        weighted_dual_both_sides)
-from .fields import PHANTOMS, ScalarField, make_phantom, rotate_field
+from .fields import (PHANTOMS, ScalarField, make_phantom, rotate_field,
+                     zonal_field)
 from .geometry import (EUCLIDEAN, HYPERBOLIC, SPHERE, Curvature, Geodesic,
                        Point, Rotation, Space, base_point, center_distance,
                        distance_rho, geodesic, geodesic_at_distance,
@@ -17,8 +18,8 @@ from .inversion import (GridSpec, InversionReport, invert_mader,
                         mader_radial_average)
 from .kernels import (KernelParams, lambda_coeffs, mu_alpha, phi_closed,
                       phi_oracle, psi_k_closed, psi_sign, theta_alpha)
-from .numerics import (QuadRule, RadialProfile, endpoint_derivative,
-                       gauss_legendre, quad_log_singular)
+from .numerics import (RadialProfile, endpoint_derivative, gauss_legendre,
+                       quad_log_singular)
 from .transforms import radon_forward, spherical_mean, tilde_mean
 
 __version__ = "0.1.0"

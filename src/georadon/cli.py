@@ -52,6 +52,12 @@ def _write_artifact(args, name: str, text: str) -> None:
             fh.write(text)
 
 
+def _emit(args, name: str, text: str) -> None:
+    """Print text, ending it with one newline, and write it as artifact name."""
+    print(text, end="" if text.endswith("\n") else "\n")
+    _write_artifact(args, name, text)
+
+
 def _profile_csv(grid, values) -> str:
     lines = ["r,value"]
     lines += [f"{float(r)!r},{float(v)!r}" for r, v in zip(grid, values)]
@@ -67,8 +73,7 @@ def _point_from(space: Space, text: str) -> Point:
     try:
         return point(space, coords)
     except ValueError as exc:
-        print(f"error: point: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
+        raise ValueError(f"point: {exc}") from None
 
 
 def _phantom_from(space: Space, args):
@@ -77,16 +82,14 @@ def _phantom_from(space: Space, args):
         kwargs["power"] = args.power
     if args.phantom == "gaussian" and args.center:
         kwargs["center"] = [float(t) for t in args.center.split(",")]
-    try:
-        return make_phantom(space, args.phantom, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
+    return make_phantom(space, args.phantom, **kwargs)
 
 
 def _dual_config(args, **extra) -> DualConfig:
-    return DualConfig(quad_nodes=args.quad_nodes, truncation=args.truncation,
-                      seed=args.seed, mean_polar=args.mean_polar, **extra)
+    if args.quad_nodes is not None:
+        extra["quad_nodes"] = args.quad_nodes
+    return DualConfig(truncation=args.truncation, seed=args.seed,
+                      mean_polar=args.mean_polar, **extra)
 
 
 def cmd_constants(args) -> int:
@@ -113,9 +116,7 @@ def cmd_constants(args) -> int:
             payload["constants"]["classical_log"] = classical_log_constant(n)
         else:
             payload["constants"]["classical_sgn"] = classical_sgn_constant(n)
-    text = _dump_json(payload)
-    print(text)
-    _write_artifact(args, "constants.json", text)
+    _emit(args, "constants.json", _dump_json(payload))
     return 0
 
 
@@ -131,14 +132,11 @@ def cmd_lemma_verify(args) -> int:
         err = abs(c - o)
         worst = max(worst, err)
         rows.append(f"{float(u)!r},{c!r},{o!r},{err!r}")
-    csv = "\n".join(rows) + "\n"
-    print(csv, end="")
-    _write_artifact(args, "lemma_verify.csv", csv)
-    summary = _dump_json({"alpha": args.alpha, "m": args.m,
-                          "points": len(us), "worst_abs_err": worst,
-                          "tolerance": args.tol, "passed": worst < args.tol})
-    print(summary)
-    _write_artifact(args, "lemma_verify.json", summary)
+    _emit(args, "lemma_verify.csv", "\n".join(rows) + "\n")
+    _emit(args, "lemma_verify.json",
+          _dump_json({"alpha": args.alpha, "m": args.m, "points": len(us),
+                      "worst_abs_err": worst, "tolerance": args.tol,
+                      "passed": worst < args.tol}))
     return 0 if worst < args.tol else 2
 
 
@@ -150,9 +148,7 @@ def cmd_psi(args) -> int:
         v = psi_k_closed(args.k, float(u)) if args.k % 2 else \
             psi_sign(args.k, float(u))
         rows.append(f"{float(u)!r},{v!r}")
-    csv = "\n".join(rows) + "\n"
-    print(csv, end="")
-    _write_artifact(args, "psi.csv", csv)
+    _emit(args, "psi.csv", "\n".join(rows) + "\n")
     return 0
 
 
@@ -166,9 +162,7 @@ def cmd_forward(args) -> int:
     payload = {"space": space.kind, "n": space.n, "k": space.k,
                "phantom": f.name, "distance": args.distance,
                "seed": args.seed, "value": value}
-    text = _dump_json(payload)
-    print(text)
-    _write_artifact(args, "forward.json", text)
+    _emit(args, "forward.json", _dump_json(payload))
     return 0
 
 
@@ -180,9 +174,7 @@ def cmd_means(args) -> int:
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
     mean = tilde_mean if args.variant == "tilde" else spherical_mean
-    csv = _profile_csv(grid, mean(space, f, x, grid))
-    print(csv, end="")
-    _write_artifact(args, "means.csv", csv)
+    _emit(args, "means.csv", _profile_csv(grid, mean(space, f, x, grid)))
     return 0
 
 
@@ -193,16 +185,18 @@ def cmd_invert(args) -> int:
     cfg = _dual_config(args)
     grid = GridSpec(h=args.grid_h, j_max=args.grid_j)
     if args.theorem == "mader":
-        if space.kind != EUCLIDEAN or args.phantom != "gaussian":
-            print("error: the classical pipeline is wired for the euclidean "
-                  "gaussian phantom", file=sys.stderr)
-            return 1
-        if args.truncation is not None:
-            print("error: --truncation does not apply to --theorem mader, "
-                  f"whose s-integrals stop at the fixed cut |s| = {S_CAP:g}",
-                  file=sys.stderr)
-            return 1
         n = space.n
+        if space.kind != EUCLIDEAN or args.phantom != "gaussian":
+            raise ValueError("the classical pipeline is wired for the "
+                             "euclidean gaussian phantom")
+        if args.truncation is not None:
+            raise ValueError(
+                "--truncation does not apply to --theorem mader, whose "
+                f"s-integrals stop at the fixed cut |s| = {S_CAP:g}")
+        if n % 2 == 0 and args.quad_nodes is not None:
+            raise ValueError(
+                "--quad-nodes does not apply to --theorem mader on even n, "
+                "whose log-kernel integrals use a fixed 24/48/96-node ladder")
         amp = math.pi ** ((n - 1) / 2.0)
         center = f.center
 
@@ -226,9 +220,7 @@ def cmd_invert(args) -> int:
         "residual": rep.conditioning,
         "seed": args.seed,
     }
-    text = _dump_json(payload)
-    print(text)
-    _write_artifact(args, "invert.json", text)
+    _emit(args, "invert.json", _dump_json(payload))
     _write_artifact(args, "invert_profile.csv",
                     _profile_csv(rep.profile.grid, rep.profile.values))
     return 0
@@ -250,7 +242,7 @@ def cmd_crosscheck(args) -> int:
     cfg = _dual_config(args, mc_samples=args.mc_samples)
 
     def phi(xi):
-        return radon_forward(space, f, xi, nodes=args.quad_nodes)
+        return radon_forward(space, f, xi, nodes=cfg.quad_nodes)
 
     mc = dual_shifted_mc(space, phi, x, args.distance, cfg)
     mean = dual_shifted_mean(space, f, x, args.distance, cfg)
@@ -264,9 +256,7 @@ def cmd_crosscheck(args) -> int:
                "weighted_lhs": bs.lhs, "weighted_lhs_stderr": bs.lhs_stderr,
                "weighted_rhs": bs.rhs, "z_weighted": z_w,
                "seed": args.seed, "passed": passed}
-    text = _dump_json(payload)
-    print(text)
-    _write_artifact(args, "crosscheck.json", text)
+    _emit(args, "crosscheck.json", _dump_json(payload))
     return 0 if passed else 2
 
 
@@ -298,7 +288,8 @@ def _add_phantom_args(p):
 
 
 def _add_numeric_args(p):
-    p.add_argument("--quad-nodes", type=int, default=96)
+    p.add_argument("--quad-nodes", type=int, default=None,
+                   help="quadrature nodes per panel (default 96)")
     p.add_argument("--mean-polar", type=int, default=64)
     p.add_argument("--truncation", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constants import c_k_value, theta_poly_coeffs, theta_sinh
+from .constants import _sign, c_k_value, theta_poly_coeffs, theta_sinh
 from .fields import ScalarField
 from .geometry import (Geodesic, Point, Space, base_point, center_distance,
                        check_distance, distance_rho, g_theta,
@@ -170,8 +170,7 @@ class _Reduction:
             def integrand(rho):
                 sn = model.sn(rho)
                 return mt(model.mean_t(rho)) * sn ** k * np.log(sn)
-            self.log_moment = quad_log_singular(integrand, 0.0, hi, s=0.0,
-                                                target=1e-11)
+            self.log_moment = quad_log_singular(integrand, 0.0, hi, s=0.0)
 
     def cusp_even(self, r: float, coeffs: np.ndarray) -> float:
         # int_0^r mtilde(t) t^k ThetaPoly(r/t) dt; substituting t = r tau turns
@@ -209,7 +208,7 @@ def l_star_profile(space: Space, f: ScalarField, x: Point, rs,
     check_distance(space, rs)
     red = _Reduction(space, f, x, cfg, need_log_moment=False)
     theta_c = theta_poly_coeffs(k)
-    sign = 1.0 if (k // 2) % 2 == 0 else -1.0
+    sign = _sign(k // 2)
     ck = c_k_value(k)
     out = np.empty(rs.size)
     for i, r in enumerate(rs):
@@ -237,7 +236,7 @@ def l_tilde_star_profile(space: Space, f: ScalarField, x: Point, rs,
     red = _Reduction(space, f, x, cfg, need_log_moment=True)
     pcoef = psi_poly_coeffs(k)
     a_term = 2.0 * c_k_value(k) * red.log_moment
-    sign = 1.0 if ((k - 1) // 2) % 2 == 0 else -1.0
+    sign = _sign((k - 1) // 2)
     out = np.empty(rs.size)
     for i, r in enumerate(rs):
         b_term = 0.0

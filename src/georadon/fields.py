@@ -10,7 +10,8 @@ import numpy as np
 
 from .geometry import EUCLIDEAN, HYPERBOLIC, SPHERE, Point, Space, base_point
 
-__all__ = ["ScalarField", "PHANTOMS", "make_phantom", "rotate_field"]
+__all__ = ["ScalarField", "PHANTOMS", "make_phantom", "rotate_field",
+           "zonal_field"]
 
 
 @dataclass
@@ -19,8 +20,7 @@ class ScalarField:
 
     evaluator maps an (..., dim) array of ambient coordinates to values.
     decay_scale is the (geodesic) radius around `center` beyond which
-    |f| < 1e-14; infinite for fields without decay. scale sets the natural
-    length unit used to size derivative grids.
+    |f| < 1e-14; infinite for fields without decay.
 
     zonal, when set, is a profile (a, h) with f(y) = h(q(y)) for
     q(y) = |y - a|^2 on R^n, y . a on S^n and [y, a] on H^n; `spherical_mean`
@@ -32,7 +32,6 @@ class ScalarField:
     decay_scale: float
     name: str = ""
     center: np.ndarray | None = None
-    scale: float = 1.0
     zonal: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -42,29 +41,37 @@ class ScalarField:
         return float(self.evaluator(x.coords[None, :])[0])
 
 
+def zonal_field(space: Space, a, h: Callable[[np.ndarray], np.ndarray],
+                decay_scale: float, name: str) -> ScalarField:
+    """The field f(y) = h(q(y)) with its zonal profile (a, h) and center a:
+    q(y) = |y - a|^2 on R^n and `Curvature.form`(y, a) on S^n and H^n."""
+    a = np.array(a, dtype=float)
+    if a.shape != (space.ambient_dim,):
+        raise ValueError(f"{name} center has the wrong dimension")
+    if space.is_euclidean:
+        def q(pts):
+            d = pts - a
+            return np.sum(d * d, axis=-1)
+    else:
+        form = space.curvature.form
+
+        def q(pts):
+            return form(pts, a)
+    return ScalarField(lambda pts: h(q(pts)), decay_scale, name=name,
+                       center=a, zonal=(a, h))
+
+
 def _gaussian(space: Space, center=None) -> ScalarField:
     if space.kind != EUCLIDEAN:
         raise ValueError("the gaussian phantom lives on euclidean space")
-    c = np.zeros(space.n) if center is None else np.asarray(center, dtype=float)
-    if c.shape != (space.n,):
-        raise ValueError("gaussian center has the wrong dimension")
-
-    def ev(pts):
-        d = pts - c
-        return np.exp(-np.sum(d * d, axis=-1))
-
-    return ScalarField(ev, decay_scale=6.0, name="gaussian", center=c.copy(),
-                       zonal=(c.copy(), lambda q: np.exp(-q)))
+    c = np.zeros(space.n) if center is None else center
+    return zonal_field(space, c, lambda q: np.exp(-q), 6.0, "gaussian")
 
 
 def _constant(space: Space) -> ScalarField:
-    def ev(pts):
-        return np.ones(pts.shape[:-1])
-
-    decay = math.pi if space.kind == SPHERE else math.inf
-    return ScalarField(ev, decay_scale=decay, name="constant-even",
-                       center=base_point(space).coords,
-                       zonal=(base_point(space).coords, np.ones_like))
+    model = space.curvature
+    return zonal_field(space, base_point(space).coords, np.ones_like,
+                       model.folds * model.rho_max, "constant-even")
 
 
 def _radial_hyperbolic(space: Space, power: int = 6) -> ScalarField:
@@ -72,29 +79,17 @@ def _radial_hyperbolic(space: Space, power: int = 6) -> ScalarField:
         raise ValueError("the radial-hyperbolic phantom lives on H^n")
     if power < 3:
         raise ValueError("power must be >= 3 for integrable transforms")
-
-    def ev(pts):
-        # cosh of the distance to the base point is the last coordinate
-        return pts[..., -1] ** float(-power)
-
-    decay = math.acosh(10.0 ** (14.0 / power))
-    return ScalarField(ev, decay_scale=decay, name="radial-hyperbolic",
-                       center=base_point(space).coords,
-                       zonal=(base_point(space).coords,
-                              lambda q: q ** float(-power)))
+    # [y, base point] is the cosh of the distance to the base point
+    return zonal_field(space, base_point(space).coords,
+                       lambda q: q ** float(-power),
+                       math.acosh(10.0 ** (14.0 / power)), "radial-hyperbolic")
 
 
 def _even_poly(space: Space) -> ScalarField:
     if space.kind != SPHERE:
         raise ValueError("the even-poly phantom lives on the sphere")
-
-    def ev(pts):
-        return 1.0 + pts[..., 0] ** 2
-
-    return ScalarField(ev, decay_scale=math.pi, name="even-poly",
-                       center=base_point(space).coords,
-                       zonal=(np.eye(space.ambient_dim)[0],
-                              lambda q: 1.0 + q * q))
+    return zonal_field(space, np.eye(space.ambient_dim)[0],
+                       lambda q: 1.0 + q * q, math.pi, "even-poly")
 
 
 PHANTOMS = {
@@ -127,4 +122,4 @@ def rotate_field(space: Space, f: ScalarField, matrix: np.ndarray) -> ScalarFiel
     if f.center is not None:
         center = np.linalg.solve(m, f.center)
     return ScalarField(ev, decay_scale=f.decay_scale, name=f.name + "|rot",
-                       center=center, scale=f.scale)
+                       center=center)

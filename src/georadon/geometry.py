@@ -3,7 +3,8 @@ distances, and rotation-based constructions.
 
 Euclidean R^n uses ambient dimension n; the sphere S^n and hyperbolic H^n live
 in R^(n+1), the latter as the upper hyperboloid sheet of the Lorentz form
-[x, y] = -x_1 y_1 - ... - x_n y_n + x_{n+1} y_{n+1}.
+[x, y] = -x_1 y_1 - ... - x_n y_n + x_{n+1} y_{n+1}. `Curvature.form` is the
+one encoding of both bilinear forms.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "Point",
     "Geodesic",
     "Rotation",
-    "lorentz_dot",
     "point",
     "geodesic",
     "base_point",
@@ -94,10 +94,17 @@ class Curvature:
     rho_max: float
     folds: int  # radii in (0, folds * rho_max) that share one value of sn
 
-    def form(self, x: np.ndarray, y: np.ndarray) -> float:
+    def signature(self, size: int) -> np.ndarray:
+        """The diagonal (kappa, ..., kappa, 1) of the form, of length size."""
+        j = np.full(size, self.kappa)
+        j[-1] = 1.0
+        return j
+
+    def form(self, x: np.ndarray, y: np.ndarray):
         """The bilinear form diag(kappa, ..., kappa, 1) of the curved models:
-        x . y on S^n and the Lorentz form [x, y] on H^n."""
-        return self.kappa * float(x[:-1] @ y[:-1]) + float(x[-1] * y[-1])
+        x . y on S^n and the Lorentz form [x, y] on H^n. y is a vector; x is
+        a vector or a stack (..., size) of them."""
+        return x @ (self.signature(y.shape[-1]) * y)
 
     def hypot_t(self, theta, v):
         """mean_t of the hypotenuse of a right triangle with legs theta, v."""
@@ -201,13 +208,6 @@ class Rotation:
     matrix: np.ndarray
 
 
-def lorentz_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] along the last axis, with the +1 slot in the last coordinate."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return x[..., -1] * y[..., -1] - np.sum(x[..., :-1] * y[..., :-1], axis=-1)
-
-
 def point(space: Space, coords) -> Point:
     """Validated point of the model (rejects off-model input beyond 1e-8)."""
     c = np.asarray(coords, dtype=float)
@@ -215,11 +215,11 @@ def point(space: Space, coords) -> Point:
         raise ValueError(
             f"point has dimension {c.shape}, expected ({space.ambient_dim},)")
     if space.is_sphere:
-        err = abs(float(c @ c) - 1.0)
+        err = abs(float(space.curvature.form(c, c)) - 1.0)
         if err > _VALIDATE_TOL:
             raise ValueError(f"not a unit vector: |x|^2 - 1 = {err:.3e}")
     elif space.is_hyperbolic:
-        q = float(lorentz_dot(c, c))
+        q = float(space.curvature.form(c, c))
         scale = max(1.0, float(np.max(np.abs(c))) ** 2)
         if abs(q - 1.0) > _VALIDATE_TOL * scale:
             raise ValueError(f"not on the hyperboloid: [x,x] - 1 = {q - 1.0:.3e}")
@@ -234,14 +234,6 @@ def base_point(space: Space) -> Point:
     if not space.is_euclidean:
         c[-1] = 1.0
     return Point(c)
-
-
-def _signature(space: Space, size: int) -> np.ndarray:
-    # diag(kappa, ..., kappa, 1): the bilinear form of the curved models, the
-    # dot product on S^n and the Lorentz form on H^n
-    j = np.full(size, space.curvature.kappa)
-    j[-1] = 1.0
-    return j
 
 
 def _check_gram(gram: np.ndarray, target: np.ndarray, what: str):
@@ -268,8 +260,9 @@ def geodesic(space: Space, basis, offset=None) -> Geodesic:
                 1.0, float(np.linalg.norm(u))):
             raise ValueError("offset is not orthogonal to the direction subspace")
         return Geodesic(b, u)
-    gram = b.T @ (_signature(space, dim)[:, None] * b)
-    _check_gram(gram, np.diag(_signature(space, cols)), space.kind)
+    model = space.curvature
+    gram = np.column_stack([model.form(b.T, b[:, j]) for j in range(cols)])
+    _check_gram(gram, np.diag(model.signature(cols)), space.kind)
     return Geodesic(b, None)
 
 
@@ -287,9 +280,10 @@ def distance_rho(space: Space, x: Point, xi: Geodesic) -> float:
         return float(np.linalg.norm(perp - xi.offset))
     # cs(d)^2 is the squared norm of the projection onto the span of xi's
     # orthonormal columns (timelike last on H^n); sn^2 = (1 - cs^2) / kappa
-    comp = b.T @ (_signature(space, c.size) * c)
-    q = float(comp @ (_signature(space, comp.size) * comp))
-    return math.sqrt(max(0.0, (1.0 - q) / space.curvature.kappa))
+    model = space.curvature
+    comp = model.form(b.T, c)
+    q = float(model.form(comp, comp))
+    return math.sqrt(max(0.0, (1.0 - q) / model.kappa))
 
 
 def center_distance(space: Space, x, y) -> float:
@@ -297,9 +291,10 @@ def center_distance(space: Space, x, y) -> float:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if space.is_euclidean:
         return float(np.linalg.norm(x - y))
+    c = float(space.curvature.form(x, y))
     if space.is_sphere:
-        return float(np.arccos(np.clip(x @ y, -1.0, 1.0)))
-    return math.acosh(max(1.0, float(lorentz_dot(x, y))))
+        return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    return math.acosh(max(1.0, c))
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -103,7 +103,7 @@ def invert_mader(space: Space, f: ScalarField, x: Point,
     even = k % 2 == 0
     const = inversion_constant(space, SGN_EVEN if even else LOG_ODD)
     operator = l_star_profile if even else l_tilde_star_profile
-    rs = grid.h * f.scale * np.arange(grid.j_max + 1)
+    rs = grid.h * np.arange(grid.j_max + 1)
     return _reconstruct(rs, operator(space, f, x, rs, cfg), k + 1, k + 3,
                         "odd_const" if even else "even", const, f.at(x))
 
@@ -116,7 +116,7 @@ def invert_shifted_dual(space: Space, f: ScalarField, x: Point,
     grid = grid or GridSpec()
     k = space.k
     const = inversion_constant(space, SHIFTED_DUAL)
-    rs = grid.h * f.scale * np.arange(grid.j_max + 1)
+    rs = grid.h * np.arange(grid.j_max + 1)
     vals = np.array([dual_shifted_mean(space, f, x, float(r), cfg) for r in rs])
     return _reconstruct(rs, vals * lambda_weight(space, rs), k, k + 2, "even",
                         const, f.at(x))
@@ -163,7 +163,7 @@ def mader_classical(n: int, g, x: np.ndarray,
         def transform(t):
             return quad_log_singular(
                 lambda s: big_g(s) * np.log(np.abs(s - t)), -S_CAP, S_CAP,
-                s=t, target=1e-11)
+                s=t)
     else:
         const = InversionConstant(1.0 / classical_sgn_constant(n),
                                   "classical_sgn")

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .constants import c_k_value, theta_poly_coeffs
+from .constants import _sign, c_k_value, theta_poly_coeffs
 
 __all__ = [
     "KernelParams",
@@ -88,14 +88,16 @@ def lambda_coeffs(params: KernelParams) -> np.ndarray:
     for r in range(1, m + 2):
         s = 0.0
         for l in range(0, m + 2 - r):
-            s += (-1.0) ** l * generalized_binomial(m - a, l) \
+            s += _sign(l) * generalized_binomial(m - a, l) \
                 * generalized_binomial(a, m + 1 - r - l)
         out[r - 1] = s / r
     return out
 
 
-def _parity(m: int) -> float:
-    return 1.0 if m % 2 == 0 else -1.0
+def _csc_factor(params: KernelParams) -> float:
+    # (-1)^m pi / sin(alpha pi), the factor of mu_alpha on (1, inf) and of
+    # the polynomial part
+    return _sign(params.m) * math.pi / math.sin(params.alpha * math.pi)
 
 
 def phi_at_one(params: KernelParams) -> float:
@@ -118,10 +120,9 @@ def mu_alpha(params: KernelParams, u: float) -> float:
         raise ValueError("u must be positive")
     if u == 1.0:
         raise ValueError("mu_alpha is two-valued at u = 1")
-    a = params.alpha
     if u < 1.0:
-        return -math.pi / math.tan(a * math.pi)
-    return _parity(params.m) * math.pi / math.sin(a * math.pi)
+        return -math.pi / math.tan(params.alpha * math.pi)
+    return _csc_factor(params)
 
 
 @lru_cache(maxsize=None)
@@ -164,11 +165,11 @@ def theta_alpha(params: KernelParams, u: float) -> float:
 
 def _poly_eval(params: KernelParams, u: float) -> float:
     pc = poly_coeffs(params)
-    kappa = _parity(params.m) * math.pi / math.sin(params.alpha * math.pi)
+    csc = _csc_factor(params)
     q = 0.0
     for r, lam in enumerate(pc.coeffs, start=1):
         q += float(lam) * (u ** r - 1.0)
-    return pc.phi_at_one - kappa * q
+    return pc.phi_at_one - csc * q
 
 
 def phi_closed(params: KernelParams, u: float) -> float:
@@ -233,11 +234,11 @@ def psi_poly_coeffs(k: int) -> np.ndarray:
     """Ascending coefficients of the even degree-(k-1) polynomial part of psi_k."""
     params = psi_k_params(k)
     pc = poly_coeffs(params)
-    kappa = _parity(params.m) * math.pi / math.sin(params.alpha * math.pi)
+    csc = _csc_factor(params)
     out = np.zeros(k)
-    out[0] = pc.phi_at_one + kappa * float(np.sum(pc.coeffs))
+    out[0] = pc.phi_at_one + csc * float(np.sum(pc.coeffs))
     for r, lam in enumerate(pc.coeffs, start=1):
-        out[r] -= kappa * lam
+        out[r] -= csc * lam
     return out
 
 
@@ -253,6 +254,5 @@ def psi_sign(k: int, u: float) -> float:
     ck = c_k_value(k)
     if u >= 1.0:
         return -ck
-    sign = 1.0 if (k // 2) % 2 == 0 else -1.0
     theta = np.polynomial.polynomial.polyval(u, theta_poly_coeffs(k))
-    return -ck + 2.0 * sign * float(theta)
+    return -ck + 2.0 * _sign(k // 2) * float(theta)

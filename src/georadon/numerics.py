@@ -9,7 +9,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "QuadRule",
     "RadialProfile",
     "gauss_legendre",
     "gl_nodes",
@@ -19,14 +18,6 @@ __all__ = [
     "sphere_rule",
     "zonal_rule",
 ]
-
-
-@dataclass(frozen=True)
-class QuadRule:
-    """Gauss-Legendre nodes and weights on (-1, 1)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass
@@ -48,8 +39,10 @@ class RadialProfile:
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre(n: int) -> QuadRule:
-    """Standard n-point Gauss-Legendre rule on (-1, 1), symmetry enforced."""
+def gauss_legendre(n: int):
+    """Standard n-point Gauss-Legendre rule on (-1, 1), symmetry enforced.
+
+    Returns read-only (nodes, weights)."""
     if not 1 <= n <= 512:
         raise ValueError(f"gauss_legendre order must be in [1, 512], got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
@@ -58,20 +51,20 @@ def gauss_legendre(n: int) -> QuadRule:
     w = 0.5 * (w + w[::-1])
     x.flags.writeable = False
     w.flags.writeable = False
-    return QuadRule(nodes=x, weights=w)
+    return x, w
 
 
 def gl_nodes(a: float, b: float, n: int = 64, panels: int = 1):
     """Nodes and weights of a composite n-point GL rule on [a, b]."""
-    rule = gauss_legendre(n)
+    nodes, weights = gauss_legendre(n)
     edges = np.linspace(a, b, panels + 1)
     xs = []
     ws = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        xs.append(mid + half * rule.nodes)
-        ws.append(half * rule.weights)
+        xs.append(mid + half * nodes)
+        ws.append(half * weights)
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -85,15 +78,18 @@ def integrate_gl(f, a: float, b: float, n: int = 64, panels: int = 1) -> float:
 
 # most panels in each geometric grading of quad_log_singular
 _GRADING_LEVELS = 60
+# largest change between successive refinements quad_log_singular accepts
+_LOG_TOL = 1e-11
 
 
-def _panel_sum(f, s: float, edges, rule) -> float:
+def _panel_sum(f, s: float, edges, n: int) -> float:
+    nodes, weights = gauss_legendre(n)
     total = 0.0
     for lo, hi in edges:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        wn = mid + half * rule.nodes
-        total += half * float(np.dot(rule.weights, 2.0 * wn * f(s + wn * wn)))
+        wn = mid + half * nodes
+        total += half * float(np.dot(weights, 2.0 * wn * f(s + wn * wn)))
     return total
 
 
@@ -104,7 +100,6 @@ def _graded_half(f, s: float, length: float, n: int) -> float:
     if length <= 0.0:
         return 0.0
     wmax = math.sqrt(length)
-    rule = gauss_legendre(n)
     # stop the inner grading once s + w^2 would round to s
     floor = math.sqrt(1e-13 * max(1.0, abs(s)))
     wmid = wmax / math.sqrt(2.0)
@@ -123,17 +118,16 @@ def _graded_half(f, s: float, length: float, n: int) -> float:
         lo += step
         if wmax - lo < 1e-14 * wmax:
             break
-    return _panel_sum(f, s, edges, rule)
+    return _panel_sum(f, s, edges, n)
 
 
-def quad_log_singular(f, a: float, b: float, s: float,
-                      target: float = 1e-10) -> float:
+def quad_log_singular(f, a: float, b: float, s: float) -> float:
     """Integrate f over [a, b] when f has at worst a log singularity at s.
 
     Splits at s and substitutes distance = w^2 on each side; panels are
     graded geometrically toward the singular point. Accepted only after two
     successive refinements (24, 48, then 96 nodes per panel) agree within
-    `target`.
+    1e-11.
     """
     if not a <= s <= b:
         raise ValueError(f"singular point {s} outside [{a}, {b}]")
@@ -144,9 +138,9 @@ def quad_log_singular(f, a: float, b: float, s: float,
 
     coarse = attempt(24)
     fine = attempt(48)
-    if abs(fine - coarse) > target:
+    if abs(fine - coarse) > _LOG_TOL:
         finer = attempt(96)
-        if abs(finer - fine) > target:
+        if abs(finer - fine) > _LOG_TOL:
             raise ValueError(
                 "quad_log_singular did not converge; integrand is likely "
                 f"worse than logarithmic at {s} (last delta {abs(finer - fine):.3e})")

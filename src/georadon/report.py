@@ -181,8 +181,7 @@ def _mc_case(space, phantom_name, coords, r, seed, power=None):
     kwargs = {"power": power} if power else {}
     f = make_phantom(space, phantom_name, **kwargs)
     x = point(space, coords)
-    cfg = DualConfig(mc_samples=10000, seed=seed, forward_nodes=32,
-                     quad_nodes=64)
+    cfg = DualConfig(mc_samples=10000, seed=seed, quad_nodes=64)
 
     def phi(xi):
         return radon_forward(space, f, xi, nodes=32)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import (Geodesic, Point, Space, base_point, lorentz_dot,
+from .geometry import (Geodesic, Point, Space, base_point, check_distance,
                        sphere_area, transport_to)
 from .numerics import gl_nodes, sphere_rule, zonal_rule
 
@@ -99,10 +99,7 @@ def tilde_mean(space: Space, f: ScalarField, x: Point, t,
     """Means reparameterized by the distance value t = sn(rho) and divided
     by cs(rho), with t -> 0 limit f(x) in all three spaces."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("tilde mean requires t >= 0")
-    if space.is_sphere and np.any(t >= 1.0):
-        raise ValueError("sphere tilde mean requires 0 <= t < 1")
+    check_distance(space, t)
     model = space.curvature
     rho = model.asn(t)
     return spherical_mean(space, f, x, model.mean_t(rho), polar_nodes) \
@@ -157,19 +154,20 @@ def _hyperbolic_frame(space: Space, xi: Geodesic, anchor: np.ndarray):
     # a timelike unit vector plus k spacelike ones, Lorentz-orthogonal
     b = xi.basis
     k = space.k
-    comp = np.array([lorentz_dot(b[:, i], anchor) for i in range(k + 1)])
+    form = space.curvature.form
+    comp = form(b.T, anchor)
     proj = b[:, k] * comp[k] - b[:, :k] @ comp[:k]
-    q = float(lorentz_dot(proj, proj))
+    q = float(form(proj, proj))
     if q < 1.0 - 1e-10:
         raise ValueError("degenerate projection onto the geodesic subspace")
     p = proj / math.sqrt(max(1.0, q))
     d0 = math.acosh(max(1.0, math.sqrt(max(1.0, q))))
     vs = []
     for i in range(k):
-        v = b[:, i] - lorentz_dot(b[:, i], p) * p
+        v = b[:, i] - form(b[:, i], p) * p
         for prev in vs:
-            v = v + lorentz_dot(v, prev) * prev
-        norm = math.sqrt(max(0.0, -lorentz_dot(v, v)))
+            v = v + form(v, prev) * prev
+        norm = math.sqrt(max(0.0, -form(v, v)))
         vs.append(v / norm)
     return p, np.column_stack(vs), d0
 

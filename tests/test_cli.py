@@ -70,6 +70,19 @@ def test_invert_mader_refuses_truncation():
     assert "|s| = 8" in proc.stderr
 
 
+def test_invert_mader_refuses_quad_nodes_on_even_n():
+    # the even-n log integrals use a fixed node ladder, so the flag would
+    # change nothing
+    proc = subprocess.run(
+        [sys.executable, "-m", "georadon.cli", "invert", "--space",
+         "euclidean", "--n", "2", "--k", "1", "--theorem", "mader",
+         "--point", "0.3,0", "--center", "0.3,0", "--quad-nodes", "48"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "--quad-nodes" in proc.stderr
+
+
 def test_invert_theorem2_parity_guard():
     run_cli("invert", "--space", "euclidean", "--n", "2", "--k", "1",
             "--theorem", "2", "--phantom", "gaussian", "--point", "0,0",

@@ -6,9 +6,8 @@ import pytest
 from conftest import random_point
 from georadon.geometry import (Point, Rotation, Space, base_point,
                                center_distance, distance_rho, g_theta, geodesic,
-                               geodesic_at_distance, haar_rotation,
-                               lorentz_dot, point, rotate_geodesic,
-                               rotate_point, transport_to)
+                               geodesic_at_distance, haar_rotation, point,
+                               rotate_geodesic, rotate_point, transport_to)
 
 EU = Space("euclidean", 2, 1)
 SP = Space("sphere", 2, 1)
@@ -145,14 +144,34 @@ def test_isometry_invariance(space, rng):
 
 def test_boost_preserves_hyperboloid():
     x = base_point(HY)
+    form = HY.curvature.form
     for theta in np.linspace(0.0, 3.0, 13):
         y = g_theta(HY, float(theta)) @ x.coords
-        assert lorentz_dot(y, y) == pytest.approx(1.0, abs=1e-12)
+        assert form(y, y) == pytest.approx(1.0, abs=1e-12)
     # far out the constraint only holds relative to cosh^2(theta)
     for theta in (5.0, 8.0):
         y = g_theta(HY, theta) @ x.coords
         scale = float(np.max(np.abs(y))) ** 2
-        assert abs(lorentz_dot(y, y) - 1.0) < 1e-14 * scale
+        assert abs(form(y, y) - 1.0) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ["sphere", "hyperbolic"])
+def test_curvature_form(kind):
+    # x . y on S^n and x_{n+1} y_{n+1} - sum_i x_i y_i on H^n, for one
+    # vector x and for a stack of them against one vector y
+    model = Space(kind, 3, 1).curvature
+    rng = np.random.default_rng(4)
+    xs = rng.standard_normal((2, 5, 4))
+    y = rng.standard_normal(4)
+    if kind == "sphere":
+        want = np.einsum("...i,i->...", xs, y)
+    else:
+        want = xs[..., 3] * y[3] - np.einsum("...i,i->...", xs[..., :3], y[:3])
+    assert model.signature(4).tolist() == [model.kappa] * 3 + [1.0]
+    assert model.form(xs[0, 0], y) == pytest.approx(want[0, 0], rel=1e-14)
+    got = model.form(xs, y)
+    assert got.shape == (2, 5)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
 
 
 def test_transport_carries_base_point():
@@ -190,7 +209,8 @@ def test_mean_t_at_center_distance(kind, rng):
     space = Space(kind, 3, 1)
     inner = {"euclidean": lambda x, y: float(np.linalg.norm(x - y)),
              "sphere": lambda x, y: float(x @ y),
-             "hyperbolic": lambda x, y: float(lorentz_dot(x, y))}[kind]
+             "hyperbolic": lambda x, y: float(x[-1] * y[-1] - x[:-1] @ y[:-1])
+             }[kind]
     for _ in range(20):
         x = random_point(space, rng).coords
         y = random_point(space, rng).coords

@@ -115,6 +115,20 @@ def test_tilde_mean_values():
         assert tilde_mean(EU2, f, x, t) == spherical_mean(EU2, f, x, t)
 
 
+def test_tilde_mean_domain():
+    f = make_phantom(SP2, "even-poly")
+    x = point(SP2, [0.6, 0.0, 0.8])
+    with pytest.raises(ValueError, match="nonnegative"):
+        tilde_mean(SP2, f, x, [0.2, -0.1])
+    for t in (1.0, [0.5, 1.2]):
+        with pytest.raises(ValueError, match="< 1"):
+            tilde_mean(SP2, f, x, t)
+    fh = make_phantom(HY2, "radial-hyperbolic")
+    with pytest.raises(ValueError, match="nonnegative"):
+        tilde_mean(HY2, fh, base_point(HY2), -0.5)
+    assert tilde_mean(HY2, fh, base_point(HY2), 1.5) > 0.0
+
+
 def test_tilde_mean_limit():
     f = make_phantom(SP2, "even-poly")
     x = point(SP2, [0.6, 0.0, 0.8])
