@@ -19,7 +19,7 @@ from .constants import (LOG_ODD, SGN_EVEN, SHIFTED_DUAL, c_k_value,
                         classical_log_constant, classical_sgn_constant,
                         inversion_constant, sphere_area)
 from .dual_ops import (DualConfig, dual_shifted_mc, dual_shifted_mean,
-                       weighted_dual_both_sides)
+                       weighted_dual_both_sides, z_score)
 from .fields import make_phantom
 from .geometry import (EUCLIDEAN, Point, Space, base_point, haar_rotation,
                        geodesic_at_distance, point)
@@ -226,15 +226,6 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _z_score(value: float, stderr: float, reference: float):
-    """(z, passed) of a Monte Carlo value against its reference: |z| < 3, or,
-    when the stderr is roundoff (all draws equal), agreement to 1e-10."""
-    if stderr <= 1e-12 * max(1.0, abs(value)):
-        return 0.0, abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
-    z = (value - reference) / stderr
-    return z, abs(z) < 3.0
-
-
 def cmd_crosscheck(args) -> int:
     space = _space_from(args)
     f = _phantom_from(space, args)
@@ -246,10 +237,10 @@ def cmd_crosscheck(args) -> int:
 
     mc = dual_shifted_mc(space, phi, x, args.distance, cfg)
     mean = dual_shifted_mean(space, f, x, args.distance, cfg)
-    z_mc, ok_mc = _z_score(mc.value, mc.stderr, mean)
+    z_mc, ok_mc = z_score(mc.value, mc.stderr, mean)
     bs = weighted_dual_both_sides(space, f,
                                   lambda rho: math.exp(-rho * rho), x, cfg)
-    z_w, ok_w = _z_score(bs.lhs, bs.lhs_stderr, bs.rhs)
+    z_w, ok_w = z_score(bs.lhs, bs.lhs_stderr, bs.rhs)
     passed = ok_mc and ok_w
     payload = {"mc_value": mc.value, "mc_stderr": mc.stderr,
                "mean_reduction": mean, "z_mc": z_mc,

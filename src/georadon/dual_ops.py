@@ -38,6 +38,7 @@ __all__ = [
     "l_star_profile",
     "l_tilde_star_profile",
     "Lambda_r",
+    "z_score",
 ]
 
 
@@ -83,6 +84,15 @@ def _mc_mean(seed: int, samples: int, draw) -> McEstimate:
                        count=samples)
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / math.sqrt(vals.size)))
+
+
+def z_score(value: float, stderr: float, reference: float):
+    """(z, passed) of a Monte Carlo value against its reference: |z| < 3, or,
+    when the stderr is roundoff (all draws equal), agreement to 1e-10."""
+    if stderr <= 1e-12 * max(1.0, abs(value)):
+        return 0.0, abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
+    z = (value - reference) / stderr
+    return z, abs(z) < 3.0
 
 
 def _radial_cap(space: Space, f: ScalarField, x: Point, cfg: DualConfig) -> float:

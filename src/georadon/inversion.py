@@ -15,7 +15,8 @@ from .dual_ops import (DualConfig, dual_shifted_mean, l_star_profile,
 from .fields import ScalarField
 from .geometry import Point, Space
 from .numerics import RadialProfile, endpoint_derivative, gl_nodes, \
-    quad_log_singular, sphere_rule
+    quad_log_singular
+from .transforms import bounded_sphere_rule
 
 __all__ = [
     "GridSpec",
@@ -132,7 +133,8 @@ def mader_radial_average(n: int, g, x: np.ndarray, s, polar_nodes: int = 64):
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     scalar_in = np.ndim(s) == 0
     x = np.asarray(x, dtype=float)
-    dirs, w = sphere_rule(n - 1, polar_nodes)
+    dirs, w = bounded_sphere_rule(n - 1, polar_nodes, s_arr.size, "s-values",
+                                  1, "polar_nodes")
     shifted = s_arr[:, None] + dirs @ x
     vals = g(dirs[None, :, :], shifted) @ w / sphere_area(n - 1)
     return float(vals[0]) if scalar_in else vals

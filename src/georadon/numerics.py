@@ -58,14 +58,9 @@ def gl_nodes(a: float, b: float, n: int = 64, panels: int = 1):
     """Nodes and weights of a composite n-point GL rule on [a, b]."""
     nodes, weights = gauss_legendre(n)
     edges = np.linspace(a, b, panels + 1)
-    xs = []
-    ws = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xs.append(mid + half * nodes)
-        ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
 
 
 def integrate_gl(f, a: float, b: float, n: int = 64, panels: int = 1) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import SGN_EVEN, inversion_constant
 from .dual_ops import (DualConfig, Lambda_r, dual_shifted_mc,
-                       dual_shifted_mean, weighted_dual_both_sides)
+                       dual_shifted_mean, weighted_dual_both_sides, z_score)
 from .fields import make_phantom
 from .geometry import Point, Space, base_point, point
 from .inversion import invert_mader, invert_shifted_dual, mader_classical
@@ -188,13 +188,14 @@ def _mc_case(space, phantom_name, coords, r, seed, power=None):
 
     mc = dual_shifted_mc(space, phi, x, r, cfg)
     mean = dual_shifted_mean(space, f, x, r, cfg)
-    z = (mc.value - mean) / mc.stderr
-    return dict(space=space.kind, n=space.n, k=space.k, phantom=phantom_name,
-                r=r, mc=mc.value, stderr=mc.stderr, mean=mean, z=float(z))
+    z, passed = z_score(mc.value, mc.stderr, mean)
+    return passed, dict(space=space.kind, n=space.n, k=space.k,
+                        phantom=phantom_name, r=r, mc=mc.value,
+                        stderr=mc.stderr, mean=mean, z=float(z))
 
 
 def check_dual_identities() -> CheckResult:
-    cases = [
+    passes, cases = zip(*[
         _mc_case(Space("euclidean", 2, 1), "gaussian", [0.3, -0.2], 0.6, 101),
         # off-center point: at the origin every plane at distance r sees the
         # same integral and the MC variance degenerates
@@ -203,7 +204,8 @@ def check_dual_identities() -> CheckResult:
         _mc_case(Space("sphere", 3, 2), "even-poly", [0.0, 0.0, 0.0, 1.0], 0.3, 104),
         _mc_case(Space("hyperbolic", 2, 1), "radial-hyperbolic",
                  [math.sinh(0.4), 0.0, math.cosh(0.4)], 0.7, 105, power=6),
-    ]
+    ])
+    ok = all(passes)
     weighted = []
     for space, phantom_name, coords, seed, power in [
             (Space("euclidean", 2, 1), "gaussian", [0.2, 0.1], 201, None),
@@ -223,18 +225,14 @@ def check_dual_identities() -> CheckResult:
                  lambda rho: rho ** (k + 1 - n)
                  * math.copysign(1.0, rho * rho - 0.25), (0.5,))]:
             bs = weighted_dual_both_sides(space, f, a, x, cfg, a_breaks=brk)
-            if bs.lhs_stderr == 0.0:
-                z = 0.0 if bs.lhs == bs.rhs else math.inf
-            else:
-                z = (bs.lhs - bs.rhs) / bs.lhs_stderr
+            z, passed = z_score(bs.lhs, bs.lhs_stderr, bs.rhs)
+            ok = ok and passed
             weighted.append(dict(space=space.kind, weight=wname, lhs=bs.lhs,
                                  stderr=bs.lhs_stderr, rhs=bs.rhs, z=float(z)))
-    worst_mc = max(abs(c["z"]) for c in cases)
-    worst_w = max(abs(w["z"]) for w in weighted)
-    ok = worst_mc < 3.0 and worst_w < 3.0
     return CheckResult(9, "dual-transform identities (MC vs reductions)", ok,
-                       dict(mc_cases=cases, weighted=weighted,
-                            worst_mc_z=worst_mc, worst_weighted_z=worst_w))
+                       dict(mc_cases=list(cases), weighted=weighted,
+                            worst_mc_z=max(abs(c["z"]) for c in cases),
+                            worst_weighted_z=max(abs(w["z"]) for w in weighted)))
 
 
 def check_lambda_limit() -> CheckResult:

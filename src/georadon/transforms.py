@@ -17,9 +17,35 @@ __all__ = [
     "tilde_mean",
 ]
 
-# refuse a spherical-mean request whose (t, direction, coordinate) block of
-# float64 points would exceed this many bytes
+# refuse a product-rule request whose `sphere_rule`, or whose block of
+# float64 points or values over it, would exceed this many bytes
 MEAN_BLOCK_BYTES = 1 << 30
+
+
+def bounded_sphere_rule(m: int, polar_nodes: int, rows: int, unit: str,
+                        cols: int, knob: str):
+    """`sphere_rule(m, polar_nodes)`, refused before it is built when it or a
+    block of rows x its directions x cols float64 exceeds MEAN_BLOCK_BYTES."""
+    n_dirs = 2 * polar_nodes ** m
+    nbytes = 8 * n_dirs * max(rows * cols, m + 2)
+    if nbytes > MEAN_BLOCK_BYTES:
+        raise ValueError(
+            f"{rows} {unit} x {n_dirs} directions x {cols} coordinates need "
+            f"{nbytes / 2 ** 30:.2f} GiB, over {MEAN_BLOCK_BYTES / 2 ** 30:.2f}"
+            f" GiB; use a smaller {knob} than {polar_nodes}")
+    return sphere_rule(m, polar_nodes)
+
+
+def _on_spheres(f: ScalarField, frame: np.ndarray, polar_nodes: int,
+                center: np.ndarray, a: np.ndarray, b: np.ndarray, unit: str,
+                knob: str):
+    # f(a_i center + b_i frame theta) as a (radii i, directions theta) array
+    # over the `sphere_rule` of the sphere of frame's columns, and its weights
+    dirs, w = bounded_sphere_rule(frame.shape[1] - 1, polar_nodes, b.size,
+                                  unit, center.size, knob)
+    pts = (a[:, None, None] * center[None, None, :]
+           + b[:, None, None] * (dirs @ frame.T)[None, :, :])
+    return f(pts), w
 
 
 def spherical_mean(space: Space, f: ScalarField, x: Point, t,
@@ -73,25 +99,14 @@ def _zonal_mean(space: Space, f: ScalarField, x: Point, t_arr: np.ndarray,
 
 def _product_mean(space: Space, f: ScalarField, x: Point, t_arr: np.ndarray,
                   polar_nodes: int) -> np.ndarray:
-    dirs, w = sphere_rule(space.n - 1, polar_nodes)
-    n_dirs = dirs.shape[0]
-    nbytes = 8 * t_arr.size * n_dirs * space.ambient_dim
-    if nbytes > MEAN_BLOCK_BYTES:
-        raise ValueError(
-            f"spherical mean of {t_arr.size} t-values x {n_dirs} directions x "
-            f"{space.ambient_dim} coordinates needs {nbytes / 2 ** 30:.2f} GiB, "
-            f"over {MEAN_BLOCK_BYTES / 2 ** 30:.2f} GiB; use a smaller "
-            f"mean_polar than {polar_nodes}")
-    area = sphere_area(space.n - 1)
     if space.is_euclidean:
-        pts = x.coords[None, None, :] + t_arr[:, None, None] * dirs[None, :, :]
+        frame, a, b = np.eye(space.n), np.ones_like(t_arr), t_arr
     else:
-        s = _section_radius(space, t_arr)
-        local = np.empty((t_arr.size, dirs.shape[0], space.n + 1))
-        local[:, :, :space.n] = s[:, None, None] * dirs[None, :, :]
-        local[:, :, space.n] = t_arr[:, None]
-        pts = local @ transport_to(space, x).T
-    return f(pts) @ w / area
+        frame = transport_to(space, x)[:, :space.n]
+        a, b = t_arr, _section_radius(space, t_arr)
+    vals, w = _on_spheres(f, frame, polar_nodes, x.coords, a, b, "t-values",
+                          "mean_polar")
+    return vals @ w / sphere_area(space.n - 1)
 
 
 def tilde_mean(space: Space, f: ScalarField, x: Point, t,
@@ -104,49 +119,6 @@ def tilde_mean(space: Space, f: ScalarField, x: Point, t,
     rho = model.asn(t)
     return spherical_mean(space, f, x, model.mean_t(rho), polar_nodes) \
         / model.cs(rho)
-
-
-def _euclidean_forward(space: Space, f: ScalarField, xi: Geodesic,
-                       nodes: int) -> float:
-    if not math.isfinite(f.decay_scale):
-        raise ValueError("non-integrable field: no finite decay radius")
-    b, u = xi.basis, xi.offset
-    k = space.k
-    center = f.center if f.center is not None else np.zeros(space.n)
-    s0 = b.T @ (center - u)
-    half = f.decay_scale + 0.5
-    grids = []
-    wgts = []
-    for i in range(k):
-        xs, ws = gl_nodes(s0[i] - half, s0[i] + half, nodes, panels=2)
-        grids.append(xs)
-        wgts.append(ws)
-    mesh = np.meshgrid(*grids, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts = u[None, :] + coords @ b.T
-    vals = f(pts)
-    wmesh = np.meshgrid(*wgts, indexing="ij")
-    wprod = np.ones_like(wmesh[0])
-    for wm in wmesh:
-        wprod = wprod * wm
-    # truncation-tail estimate: the integrand on the box boundary must be
-    # negligible or the decay assumption is violated
-    shape = tuple(g.size for g in grids)
-    grid_vals = vals.reshape(shape)
-    boundary = 0.0
-    for axis in range(k):
-        boundary = max(boundary,
-                       float(np.max(np.abs(np.take(grid_vals, 0, axis=axis)))),
-                       float(np.max(np.abs(np.take(grid_vals, -1, axis=axis)))))
-    if boundary * (2.0 * half) ** max(k - 1, 0) * 2 * k > 1e-8:
-        raise ValueError("truncation tail too large; field decays too slowly")
-    return float(np.dot(wprod.ravel(), vals))
-
-
-def _sphere_forward(space: Space, f: ScalarField, xi: Geodesic,
-                    nodes: int) -> float:
-    z, w = sphere_rule(space.k, nodes)
-    return float(np.dot(w, f(z @ xi.basis.T)))
 
 
 def _hyperbolic_frame(space: Space, xi: Geodesic, anchor: np.ndarray):
@@ -172,31 +144,34 @@ def _hyperbolic_frame(space: Space, xi: Geodesic, anchor: np.ndarray):
     return p, np.column_stack(vs), d0
 
 
-def _hyperbolic_forward(space: Space, f: ScalarField, xi: Geodesic,
-                        nodes: int) -> float:
-    if not math.isfinite(f.decay_scale):
-        raise ValueError("non-integrable field: no finite decay radius")
-    k = space.k
-    anchor = f.center if f.center is not None else base_point(space).coords
-    p, vs, d0 = _hyperbolic_frame(space, xi, anchor)
-    dmax = f.decay_scale + d0 + 0.5
-    deltas, wd = gl_nodes(0.0, dmax, nodes, panels=3)
-    dirs, wo = sphere_rule(k - 1, nodes)
-    # y = cosh(delta) p + sinh(delta) (dirs . vs), volume sinh^(k-1)
-    pts = (np.cosh(deltas)[:, None, None] * p[None, None, :]
-           + np.sinh(deltas)[:, None, None] * (dirs @ vs.T)[None, :, :])
-    vals = f(pts)
-    radial = wd * np.sinh(deltas) ** (k - 1)
-    return float(radial @ vals @ wo)
-
-
 def radon_forward(space: Space, f: ScalarField, xi: Geodesic,
                   nodes: int = 96) -> float:
     """Integral of f over the geodesic submanifold with its canonical measure:
     Lebesgue on the k-plane, Lebesgue on the great k-sphere, invariant
     (hyperbolic volume) measure on the geodesic H^k."""
-    if space.is_euclidean:
-        return _euclidean_forward(space, f, xi, nodes)
     if space.is_sphere:
-        return _sphere_forward(space, f, xi, nodes)
-    return _hyperbolic_forward(space, f, xi, nodes)
+        # the great k-sphere takes the cached product rule over its basis
+        z, w = bounded_sphere_rule(space.k, nodes, 1, "sphere",
+                                   space.ambient_dim, "node count")
+        return float(np.dot(w, f(z @ xi.basis.T)))
+    if not math.isfinite(f.decay_scale):
+        raise ValueError("non-integrable field: no finite decay radius")
+    k, model = space.k, space.curvature
+    anchor = f.center if f.center is not None else base_point(space).coords
+    if space.is_euclidean:
+        b, u = xi.basis, xi.offset
+        p = u + b @ (b.T @ (anchor - u))
+        frame, d0 = b, float(np.linalg.norm(anchor - p))
+    else:
+        p, frame, d0 = _hyperbolic_frame(space, xi, anchor)
+    # polar coordinates y = cs(delta) p + sn(delta) theta about the foot p of
+    # the center, at distance d0 from it, with volume sn(delta)^(k-1); f must
+    # be negligible on the outermost radius
+    deltas, wd = gl_nodes(0.0, f.decay_scale + d0 + 0.5, nodes, panels=3)
+    sn = model.sn(deltas)
+    vals, wo = _on_spheres(f, frame, nodes, p, model.cs(deltas), sn, "radii",
+                           "node count")
+    if sphere_area(k - 1) * sn[-1] ** (k - 1) * np.max(np.abs(vals[-1])) > 1e-8:
+        raise ValueError("truncation tail too large; field decays too slowly")
+    radial = wd * sn ** (k - 1)
+    return float(radial @ vals @ wo)

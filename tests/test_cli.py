@@ -1,9 +1,13 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SNAPSHOT = Path(__file__).resolve().parent.parent / "scripts" / "cli_snapshot.py"
 
 
 def run_cli(*args, expect_code=0):
@@ -194,3 +198,22 @@ def test_json_determinism(tmp_path):
                 (tmp_path / sub / "invert_profile.csv").read_bytes())
 
     assert run("a") == run("b")
+
+
+def test_cli_snapshot_exits_1_on_unexpected_exit_code(tmp_path, monkeypatch,
+                                                      capsys):
+    spec = importlib.util.spec_from_file_location("cli_snapshot", SNAPSHOT)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    refused = ("means --space euclidean --n 2 --k 1 --phantom gaussian "
+               "--t-min 1 --t-max 0 --num 3")
+    monkeypatch.setattr(snapshot, "COMMANDS",
+                        [(0, "psi --k 1 --num 2"), (0, refused)])
+    assert snapshot.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"#02 exited 1, expected 0: {refused}"]
+    assert (tmp_path / "01.stdout").read_text().startswith("u,value")
+    assert [(tmp_path / f"0{i}.exit").read_text() for i in (1, 2)] == \
+        ["0\n", "1\n"]
+    monkeypatch.setattr(snapshot, "COMMANDS", [(1, refused)])
+    assert snapshot.main([str(tmp_path)]) == 0

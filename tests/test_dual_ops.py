@@ -8,7 +8,7 @@ import georadon.kernels as kernels
 from georadon.dual_ops import (DualConfig, L_star, L_tilde_star, Lambda_r,
                                dual_shifted_mc, dual_shifted_mean,
                                l_star_profile, l_tilde_star_profile,
-                               weighted_dual_both_sides)
+                               weighted_dual_both_sides, z_score)
 from georadon.fields import ScalarField, make_phantom
 from georadon.geometry import Point, Space, base_point, point
 from georadon.transforms import radon_forward
@@ -82,6 +82,15 @@ def test_dual_mc_rotationally_degenerate_case():
                          DualConfig(mc_samples=200, seed=2, quad_nodes=48))
     assert mc.value == pytest.approx(math.pi * math.exp(-0.25), abs=1e-9)
     assert mc.stderr < 1e-9
+
+
+def test_z_score_rule():
+    assert z_score(1.4, 0.1, 1.0) == (pytest.approx(4.0), False)
+    assert z_score(1.1, 0.1, 1.0) == (pytest.approx(1.0), True)
+    # a roundoff stderr: every draw equal, so the values must agree instead
+    assert z_score(2.0, 1e-17, 2.0 + 1e-12) == (0.0, True)
+    assert z_score(2.0, 1e-17, 2.0 + 1e-9) == (0.0, False)
+    assert z_score(0.0, 0.0, 0.0) == (0.0, True)
 
 
 def test_dual_mean_sphere_non_even_field():

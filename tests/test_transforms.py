@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import random_point
 from georadon.constants import sphere_area
@@ -9,6 +10,7 @@ from georadon.fields import ScalarField, make_phantom, rotate_field
 from georadon.geometry import (Point, Rotation, Space, base_point, g_theta,
                                geodesic, geodesic_at_distance, haar_rotation,
                                point, rotate_geodesic)
+from georadon.inversion import mader_radial_average
 from georadon.numerics import gl_nodes
 import georadon.transforms as transforms
 from georadon.transforms import radon_forward, spherical_mean, tilde_mean
@@ -46,6 +48,82 @@ def test_forward_rejects_non_integrable():
                               Rotation(np.eye(3)))
     with pytest.raises(ValueError):
         radon_forward(EU3, f, xi)
+
+
+# closed forms at an off-centre geodesic: the Gaussian's plane integral,
+# the even polynomial's great-sphere integral and the radial profile's
+# one-dimensional integral along the geodesic H^k
+
+
+def _gaussian_closed(space, xi, c):
+    v = (c - xi.offset) - xi.basis @ (xi.basis.T @ (c - xi.offset))
+    return math.pi ** (space.k / 2.0) * math.exp(-float(v @ v))
+
+
+def _even_poly_closed(space, xi):
+    a = xi.basis[0, :]
+    return sphere_area(space.k) * (1.0 + float(a @ a) / (space.k + 1))
+
+
+def _radial_hyperbolic_closed(space, xi, power):
+    # [e, b_j] is the last coordinate of b_j for the base point e, so the
+    # Lorentz norm of e's projection onto xi is cosh of its distance
+    last = xi.basis[-1, :]
+    cosh_d0 = math.sqrt(last[-1] ** 2 - float(last[:-1] @ last[:-1]))
+    val, _ = quad(lambda s: (cosh_d0 * math.cosh(s)) ** (-power)
+                  * math.sinh(s) ** (space.k - 1), 0.0, 60.0,
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return sphere_area(space.k - 1) * val
+
+
+@pytest.mark.parametrize("kind,n,k", [
+    ("euclidean", 2, 1), ("euclidean", 3, 2), ("euclidean", 4, 3),
+    ("sphere", 2, 1), ("sphere", 3, 2),
+    ("hyperbolic", 2, 1), ("hyperbolic", 3, 2), ("hyperbolic", 4, 3),
+])
+def test_forward_off_centre_closed_form(kind, n, k):
+    space = Space(kind, n, k)
+    x = _off_axis_point(space)
+    for seed, r in ((5, 0.3), (6, 0.7)):
+        xi = geodesic_at_distance(space, x, r, haar_rotation(space, seed))
+        if space.is_euclidean:
+            c = np.linspace(0.3, -0.4, n)
+            f = make_phantom(space, "gaussian", center=c)
+            want = _gaussian_closed(space, xi, c)
+        elif space.is_sphere:
+            f = make_phantom(space, "even-poly")
+            want = _even_poly_closed(space, xi)
+        else:
+            f = make_phantom(space, "radial-hyperbolic", power=6)
+            want = _radial_hyperbolic_closed(space, xi, 6)
+        got = radon_forward(space, f, xi, nodes=48)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_forward_refuses_understated_decay():
+    # a Gaussian declared to vanish beyond radius 1 is still e^-2.25 at the
+    # outermost radius 1.5 of the polar rule
+    f = make_phantom(EU3, "gaussian")
+    short = ScalarField(f.evaluator, 1.0, center=f.center)
+    xi = geodesic_at_distance(EU3, Point(np.zeros(3)), 0.0,
+                              Rotation(np.eye(3)))
+    assert radon_forward(EU3, f, xi) == pytest.approx(math.pi, rel=1e-12)
+    with pytest.raises(ValueError, match="truncation tail too large"):
+        radon_forward(EU3, short, xi)
+
+
+def test_forward_refuses_slow_decay_against_volume_growth():
+    # on H^4 k=3 the volume grows like e^(2 delta): power 3 leaves the
+    # integrand at e^-delta where the decay radius of its profile is reached
+    space = Space("hyperbolic", 4, 3)
+    xi = geodesic_at_distance(space, _off_axis_point(space), 0.4,
+                              haar_rotation(space, 2))
+    f6 = make_phantom(space, "radial-hyperbolic", power=6)
+    assert radon_forward(space, f6, xi, nodes=48) == pytest.approx(
+        _radial_hyperbolic_closed(space, xi, 6), rel=1e-10)
+    f3 = make_phantom(space, "radial-hyperbolic", power=3)
+    with pytest.raises(ValueError, match="truncation tail too large"):
+        radon_forward(space, f3, xi, nodes=48)
 
 
 @pytest.mark.parametrize("space,phantom,kwargs", [
@@ -179,6 +257,58 @@ def _off_axis_point(space: Space):
     w = np.linspace(0.4, -0.3, space.n)
     r = float(np.linalg.norm(w))
     return point(space, np.append(math.sinh(r) * w / r, math.cosh(r)))
+
+
+def _rule_never_built(m, polar_nodes):
+    raise AssertionError(f"sphere_rule({m}, {polar_nodes}) built past its guard")
+
+
+def _radial_average_of(s):
+    g = lambda th, svals: np.exp(-svals * svals)
+    return lambda: mader_radial_average(3, g, np.zeros(3), s, polar_nodes=4)
+
+
+def _forward_of(kind, n, k, phantom, **params):
+    space = Space(kind, n, k)
+    f = make_phantom(space, phantom, **params)
+    xi = geodesic_at_distance(space, _off_axis_point(space), 0.3,
+                              haar_rotation(space, 1))
+    return lambda: radon_forward(space, f, xi, nodes=8)
+
+
+# entry point, its largest float64 array in bytes (block or rule), and the
+# sizes its refusal names
+GUARD_CASES = [
+    # 24 radii x 2*8 directions x 3 coordinates
+    (_forward_of("euclidean", 3, 2, "gaussian"), 9216,
+     r"24 radii x 16 directions x 3 coordinates"),
+    (_forward_of("hyperbolic", 3, 2, "radial-hyperbolic", power=6), 12288,
+     r"24 radii x 16 directions x 4 coordinates"),
+    # the great 2-sphere's rule: 2*8^2 directions x 4 coordinates
+    (_forward_of("sphere", 3, 2, "even-poly"), 4096,
+     r"1 sphere x 128 directions x 4 coordinates"),
+    # 5 s-values x 2*4^2 directions, one shifted s each
+    (_radial_average_of(np.linspace(0.0, 1.0, 5)), 1280,
+     r"5 s-values x 32 directions x 1 coordinates"),
+    # one s-value: the rule, 32 directions x (3 coordinates + weight), is
+    # the larger array
+    (_radial_average_of(0.5), 1024,
+     r"1 s-values x 32 directions x 1 coordinates need 0\.00 GiB.*"
+     r"polar_nodes than 4"),
+]
+
+
+@pytest.mark.parametrize("call,nbytes,message", GUARD_CASES, ids=[
+    "euclidean-forward", "hyperbolic-forward", "sphere-forward",
+    "radial-average-block", "radial-average-rule"])
+def test_product_rule_guard(monkeypatch, call, nbytes, message):
+    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", nbytes)
+    ok = call()
+    assert np.all(np.isfinite(ok))
+    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", nbytes - 1)
+    monkeypatch.setattr(transforms, "sphere_rule", _rule_never_built)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # space, phantom, t-range spanning the mean's domain (R^n and H^n: to where
