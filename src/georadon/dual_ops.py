@@ -19,9 +19,9 @@ import numpy as np
 from .constants import _sign, c_k_value, theta_poly_coeffs, theta_sinh
 from .fields import ScalarField
 from .geometry import (Geodesic, Point, Space, base_point, center_distance,
-                       check_distance, distance_rho, g_theta,
-                       geodesic_at_distance, haar_orthogonal, haar_stabilizer,
-                       point, sphere_area, transport_to)
+                       check_distance, distance_rho, geodesic_frames,
+                       geodesics_at_distance, haar_from_normals,
+                       haar_orthogonal, haar_stabilizer, point, sphere_area)
 from .kernels import psi_poly_coeffs
 from .numerics import gl_nodes, quad_log_singular
 from .transforms import radon_forward, spherical_mean, tilde_mean
@@ -76,12 +76,9 @@ class BothSides(NamedTuple):
     rhs: float
 
 
-def _mc_mean(seed: int, samples: int, draw) -> McEstimate:
-    """Mean and standard error of draw(rng) over `samples` draws from one
-    generator seeded with `seed`."""
-    rng = np.random.default_rng(seed)
-    vals = np.fromiter((draw(rng) for _ in range(samples)), dtype=float,
-                       count=samples)
+def _mc_estimate(vals) -> McEstimate:
+    """Mean and standard error of an array of Monte Carlo draws."""
+    vals = np.asarray(vals, dtype=float)
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
@@ -138,13 +135,14 @@ def dual_shifted_mean(space: Space, f: ScalarField, x: Point, r: float,
 
 def dual_shifted_mc(space: Space, phi: Callable[[Geodesic], float], x: Point,
                     r: float, cfg: DualConfig | None = None) -> McEstimate:
-    """Monte Carlo average of phi over geodesics at distance value r from x."""
+    """Monte Carlo average of phi over geodesics at distance value r from x:
+    all cfg.mc_samples stabilizer rotations are drawn as one stack."""
     cfg = cfg or DualConfig()
-
-    def draw(rng):
-        return phi(geodesic_at_distance(space, x, r, haar_stabilizer(space, rng)))
-
-    return _mc_mean(cfg.seed, cfg.mc_samples, draw)
+    check_distance(space, r)
+    rng = np.random.default_rng(cfg.seed)
+    g = haar_stabilizer(space, rng, cfg.mc_samples).matrix
+    return _mc_estimate([phi(xi) for xi in
+                         geodesics_at_distance(space, x, r, g)])
 
 
 class _Reduction:
@@ -279,33 +277,37 @@ def Lambda_r(space: Space, f: ScalarField, x: Point, r: float, k: int,
 _PROPOSAL_STD = 2.5
 
 
-def _euclidean_draw(space: Space):
+def _euclidean_draws(space: Space):
     # product-measure sampler: Haar subspace x Gaussian offset, weighted by
-    # the inverse proposal density
+    # the inverse proposal density; each row of normals holds one draw's
+    # Haar block followed by its offset
     n, k = space.n, space.k
     d = n - k
     log_norm = -0.5 * d * math.log(2.0 * math.pi * _PROPOSAL_STD ** 2)
 
-    def draw(rng):
-        q = haar_orthogonal(n, rng)
-        z = _PROPOSAL_STD * rng.standard_normal(d)
-        weight = math.exp(0.5 * float(z @ z) / _PROPOSAL_STD ** 2 - log_norm)
-        return Geodesic(q[:, :k], q[:, k:] @ z), weight
-    return draw
+    def draws(rng, count):
+        normals = rng.standard_normal((count, n * n + d))
+        qs = haar_from_normals(normals[:, :n * n].reshape(count, n, n))
+        zs = _PROPOSAL_STD * normals[:, n * n:]
+        return [(Geodesic(q[:, :k], q[:, k:] @ z),
+                 math.exp(0.5 * float(z @ z) / _PROPOSAL_STD ** 2 - log_norm))
+                for q, z in zip(qs, zs)]
+    return draws
 
 
-def _sphere_draw(space: Space):
+def _sphere_draws(space: Space):
     # normalized invariant measure on the compact submanifold space
-    def draw(rng):
-        q = haar_orthogonal(space.n + 1, rng)
-        return Geodesic(q[:, :space.k + 1], None), 1.0
-    return draw
+    def draws(rng, count):
+        return [(Geodesic(q[:, :space.k + 1], None), 1.0)
+                for q in haar_orthogonal(space.n + 1, rng, count)]
+    return draws
 
 
-def _hyperbolic_draw(space: Space, x: Point, theta_max: float):
+def _hyperbolic_draws(space: Space, x: Point, theta_max: float):
     # invariant measure written around a fixed auxiliary point z != x, with
     # the rapidity density as importance weight; independent of the
-    # distance-to-x disintegration under test
+    # distance-to-x disintegration under test. Each draw takes its rapidity
+    # before its rotation from one stream, so the draws stay sequential.
     n, k = space.n, space.k
     # the anchor lies at distance 0.8 from the base point, or 1.3 if x is there
     for anchor_dist in (0.8, 1.3):
@@ -313,16 +315,19 @@ def _hyperbolic_draw(space: Space, x: Point, theta_max: float):
         z[0], z[-1] = math.sinh(anchor_dist), math.cosh(anchor_dist)
         if not np.allclose(z, x.coords, atol=1e-6):
             break
-    rz = transport_to(space, point(space, z))
+    z = point(space, z)
     sig = sphere_area(n - k - 1)
 
     def draw(rng):
         th = theta_max * rng.random()
-        gam = haar_stabilizer(space, rng)
-        m = rz @ gam.matrix @ g_theta(space, -th)
+        basis, _ = geodesic_frames(space, z, th,
+                                   haar_stabilizer(space, rng).matrix)
         nu = math.sinh(th) ** (n - k - 1) * math.cosh(th) ** k
-        return Geodesic(m[:, n - k:], None), sig * theta_max * nu
-    return draw
+        return Geodesic(basis, None), sig * theta_max * nu
+
+    def draws(rng, count):
+        return [draw(rng) for _ in range(count)]
+    return draws
 
 
 def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
@@ -340,20 +345,17 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
     n, k = space.n, space.k
     model = space.curvature
     hi = min(_radial_cap(space, f, x, cfg) + 1.0, model.rho_max)
-    # each sampler draws (geodesic, weight) from the invariant measure
+    # each sampler draws (geodesic, weight) pairs from the invariant measure
     if space.is_euclidean:
-        submanifold = _euclidean_draw(space)
+        submanifold = _euclidean_draws(space)
     elif space.is_sphere:
-        submanifold = _sphere_draw(space)
+        submanifold = _sphere_draws(space)
     else:
-        submanifold = _hyperbolic_draw(space, x, hi)
-
-    def draw(rng):
-        xi, weight = submanifold(rng)
-        return weight * radon_forward(space, f, xi, nodes=cfg.forward_nodes) \
-            * a(distance_rho(space, x, xi))
-
-    lhs = _mc_mean(cfg.seed + 1, cfg.mc_samples, draw)
+        submanifold = _hyperbolic_draws(space, x, hi)
+    draws = submanifold(np.random.default_rng(cfg.seed + 1), cfg.mc_samples)
+    lhs = _mc_estimate([
+        weight * radon_forward(space, f, xi, nodes=cfg.forward_nodes)
+        * a(distance_rho(space, x, xi)) for xi, weight in draws])
     edges = sorted({0.0, hi, *(float(model.asn(b)) for b in a_breaks
                                if 0.0 < b < model.sn(hi))})
     rhs = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,11 +34,14 @@ __all__ = [
     "check_distance",
     "center_distance",
     "haar_orthogonal",
+    "haar_from_normals",
     "haar_rotation",
     "haar_stabilizer",
     "g_theta",
     "transport_to",
     "geodesic_at_distance",
+    "geodesics_at_distance",
+    "geodesic_frames",
     "rotate_point",
     "rotate_geodesic",
 ]
@@ -67,6 +71,7 @@ def gamma_half(x: float) -> float:
     return math.gamma(x)
 
 
+@lru_cache(maxsize=None)
 def sphere_area(m: int) -> float:
     """Surface area sigma_m of the unit sphere S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
     if m < 0:
@@ -297,13 +302,22 @@ def center_distance(space: Space, x, y) -> float:
     return math.acosh(max(1.0, c))
 
 
-def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed SO(dim) matrix (QR of a Gaussian matrix, det fixed)."""
-    a = rng.standard_normal((dim, dim))
+def haar_orthogonal(dim: int, rng: np.random.Generator,
+                    count: int | None = None) -> np.ndarray:
+    """Haar-distributed SO(dim) matrix, or a (count, dim, dim) stack of them
+    drawn from the same normals as count single draws."""
+    shape = (dim, dim) if count is None else (count, dim, dim)
+    return haar_from_normals(rng.standard_normal(shape))
+
+
+def haar_from_normals(a: np.ndarray) -> np.ndarray:
+    """The SO(d) matrices of a stack (..., d, d) of standard normal matrices:
+    Q of the QR factorization with R's diagonal made positive, then the last
+    column flipped where det Q < 0 (Mezzadri, Notices AMS 54, 2007)."""
     q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    flip = np.linalg.det(q) < 0.0
+    q[..., -1] = np.where(flip[..., None], -q[..., -1], q[..., -1])
     return q
 
 
@@ -316,13 +330,17 @@ def haar_rotation(space: Space, seed: int) -> Rotation:
     return haar_stabilizer(space, np.random.default_rng(seed))
 
 
-def haar_stabilizer(space: Space, rng: np.random.Generator) -> Rotation:
-    """Haar rotation of the stabilizer of the base point, drawn from rng."""
-    q = haar_orthogonal(space.n, rng)
+def haar_stabilizer(space: Space, rng: np.random.Generator,
+                    count: int | None = None) -> Rotation:
+    """Haar rotation of the stabilizer of the base point, drawn from rng; with
+    count, its matrix is a stack of count rotations."""
+    n = space.n
+    q = haar_orthogonal(n, rng, count)
     if space.is_euclidean:
         return Rotation(q)
-    m = np.eye(space.n + 1)
-    m[:space.n, :space.n] = q
+    m = np.zeros(q.shape[:-2] + (n + 1, n + 1))
+    m[..., :n, :n] = q
+    m[..., n, n] = 1.0
     return Rotation(m)
 
 
@@ -396,21 +414,41 @@ def geodesic_at_distance(space: Space, x: Point, r: float, g: Rotation) -> Geode
     r is the distance function value (sin/sinh of the geodesic distance on the
     curved models). The rotation g selects the member of the distance sphere.
     """
+    return geodesics_at_distance(space, x, r, np.asarray(g.matrix)[None])[0]
+
+
+def geodesics_at_distance(space: Space, x: Point, r: float,
+                          g: np.ndarray) -> list[Geodesic]:
+    """`geodesic_at_distance` for each rotation of a stack g (count, dim, dim),
+    built with one stacked product."""
     check_distance(space, r)
+    theta = r if space.is_euclidean else \
+        math.asin(r) if space.is_sphere else math.asinh(r)
+    bases, offsets = geodesic_frames(space, x, theta, g)
+    if offsets is None:
+        return [Geodesic(b, None) for b in bases]
+    return [Geodesic(b, u) for b, u in zip(bases, offsets)]
+
+
+def geodesic_frames(space: Space, x: Point, theta: float, g: np.ndarray):
+    """(bases, offsets) of the geodesics at geodesic distance theta from x
+    selected by g, one ambient rotation (dim, dim) or a stack of them; the
+    offsets are None on the curved models.
+
+    R^n: the k-plane through x + theta g e_n spanned by g's first k columns.
+    S^n and H^n: the columns of transport_to(x) g g_theta that carry
+    xi_0 = span(e_1..e_(k+1)) on S^n, span(e_(n-k+1)..e_(n+1)) on H^n.
+    """
     n, k = space.n, space.k
     if space.is_euclidean:
-        gamma = g.matrix
-        b = gamma[:, :k]
-        p = x.coords + r * gamma[:, n - 1]
-        u = p - b @ (b.T @ p)
-        return Geodesic(b, u)
+        b = g[..., :k]
+        p = x.coords + theta * g[..., n - 1]
+        return b, p - (b @ (np.swapaxes(b, -1, -2) @ p[..., None]))[..., 0]
     if space.is_sphere:
-        theta = math.asin(r)
-        m = transport_to(space, x) @ g.matrix @ g_theta(space, theta).T
-        return Geodesic(m[:, :k + 1], None)
-    theta = math.asinh(r)
-    m = transport_to(space, x) @ g.matrix @ g_theta(space, -theta)
-    return Geodesic(m[:, n - k:], None)
+        m = transport_to(space, x) @ g @ g_theta(space, theta).T
+        return m[..., :k + 1], None
+    m = transport_to(space, x) @ g @ g_theta(space, -theta)
+    return m[..., n - k:], None
 
 
 def rotate_point(space: Space, m: np.ndarray, x: Point) -> Point:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,14 +149,22 @@ def radon_forward(space: Space, f: ScalarField, xi: Geodesic,
                   nodes: int = 96) -> float:
     """Integral of f over the geodesic submanifold with its canonical measure:
     Lebesgue on the k-plane, Lebesgue on the great k-sphere, invariant
-    (hyperbolic volume) measure on the geodesic H^k."""
-    if space.is_sphere:
+    (hyperbolic volume) measure on the geodesic H^k.
+
+    A field with a zonal profile is integrated in one dimension (see
+    `_zonal_forward`). Any other field takes the product rule of the great
+    k-sphere on S^n, and on R^n and H^n polar coordinates about the foot of
+    its center over `sphere_rule(k - 1, nodes)`.
+    """
+    if space.is_sphere and f.zonal is None:
         # the great k-sphere takes the cached product rule over its basis
         z, w = bounded_sphere_rule(space.k, nodes, 1, "sphere",
                                    space.ambient_dim, "node count")
         return float(np.dot(w, f(z @ xi.basis.T)))
-    if not math.isfinite(f.decay_scale):
+    if not (space.is_sphere or math.isfinite(f.decay_scale)):
         raise ValueError("non-integrable field: no finite decay radius")
+    if f.zonal is not None:
+        return _zonal_forward(space, f, xi, nodes)
     k, model = space.k, space.curvature
     anchor = f.center if f.center is not None else base_point(space).coords
     if space.is_euclidean:
@@ -165,13 +174,64 @@ def radon_forward(space: Space, f: ScalarField, xi: Geodesic,
     else:
         p, frame, d0 = _hyperbolic_frame(space, xi, anchor)
     # polar coordinates y = cs(delta) p + sn(delta) theta about the foot p of
-    # the center, at distance d0 from it, with volume sn(delta)^(k-1); f must
-    # be negligible on the outermost radius
+    # the center, at distance d0 from it, with volume sn(delta)^(k-1)
     deltas, wd = gl_nodes(0.0, f.decay_scale + d0 + 0.5, nodes, panels=3)
     sn = model.sn(deltas)
     vals, wo = _on_spheres(f, frame, nodes, p, model.cs(deltas), sn, "radii",
                            "node count")
-    if sphere_area(k - 1) * sn[-1] ** (k - 1) * np.max(np.abs(vals[-1])) > 1e-8:
-        raise ValueError("truncation tail too large; field decays too slowly")
+    _check_tail(k, sn[-1], np.max(np.abs(vals[-1])))
     radial = wd * sn ** (k - 1)
     return float(radial @ vals @ wo)
+
+
+def _check_tail(k: int, sn_last: float, peak: float) -> None:
+    # f must be negligible on the outermost ring of the radial rule
+    if sphere_area(k - 1) * sn_last ** (k - 1) * peak > 1e-8:
+        raise ValueError("truncation tail too large; field decays too slowly")
+
+
+@lru_cache(maxsize=None)
+def _unit_radial_rule(nodes: int):
+    # the 3-panel nodes-point Gauss-Legendre rule on [0, 1], scaled to each
+    # zonal forward transform's radial interval
+    x, w = gl_nodes(0.0, 1.0, nodes, panels=3)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _zonal_forward(space: Space, f: ScalarField, xi: Geodesic,
+                   nodes: int) -> float:
+    """radon_forward of a field with a zonal profile (a, h), in one dimension.
+
+    S^n: sigma_k times the mean of h(|B^T a| u) over the nodes-node
+    `zonal_rule` of S^k (Funk-Hecke). R^n and H^n: at distance delta from
+    the foot of a, at distance d0 from a, q(y) is d0^2 + delta^2 and
+    cosh d0 cosh delta, so the transform is sigma_(k-1) int h(q) sn^(k-1)
+    d delta over the radii of the polar integrator.
+    """
+    k, model = space.k, space.curvature
+    axis, h = f.zonal
+    if space.is_sphere:
+        c = xi.basis.T @ axis
+        u, w = zonal_rule(k, nodes)
+        return sphere_area(k) * float(h(math.sqrt(float(c @ c)) * u) @ w)
+    if space.is_euclidean:
+        v = axis - xi.offset
+        perp = v - xi.basis @ (xi.basis.T @ v)
+        d0_sq = float(perp @ perp)
+        d0 = math.sqrt(d0_sq)
+    else:
+        # cosh d0 is the Lorentz norm of a's projection onto xi's span
+        c = model.form(xi.basis.T, axis)
+        cosh_d0 = math.sqrt(max(1.0, float(model.form(c, c))))
+        d0 = math.acosh(cosh_d0)
+    x, wx = _unit_radial_rule(nodes)
+    length = f.decay_scale + d0 + 0.5
+    deltas = length * x
+    q = d0_sq + deltas * deltas if space.is_euclidean \
+        else cosh_d0 * model.cs(deltas)
+    vals = h(q)
+    sn = model.sn(deltas)
+    _check_tail(k, sn[-1], abs(vals[-1]))
+    return sphere_area(k - 1) * length * float((wx * sn ** (k - 1)) @ vals)

@@ -10,7 +10,8 @@ from georadon.dual_ops import (DualConfig, L_star, L_tilde_star, Lambda_r,
                                l_star_profile, l_tilde_star_profile,
                                weighted_dual_both_sides, z_score)
 from georadon.fields import ScalarField, make_phantom
-from georadon.geometry import Point, Space, base_point, point
+from georadon.geometry import (Geodesic, Point, Space, base_point, distance_rho,
+                               g_theta, point, transport_to)
 from georadon.transforms import radon_forward
 
 EU3 = Space("euclidean", 3, 2)
@@ -243,3 +244,81 @@ def test_weighted_dual_sgn_kernel_sphere():
     bs = weighted_dual_both_sides(SP2, f, a, point(SP2, [0.6, 0, 0.8]), CFG,
                                   a_breaks=(0.5,))
     assert abs(bs.lhs - bs.rhs) < 4.0 * bs.lhs_stderr
+
+
+def _haar_single(dim, rng):
+    # one Haar draw of SO(dim): QR of a Gaussian matrix with signs fixed
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+def _geodesic_single(space, x, r, rng):
+    # one geodesic at distance value r from x, built from one Haar draw
+    n, k = space.n, space.k
+    q = _haar_single(n, rng)
+    if space.is_euclidean:
+        b = q[:, :k]
+        p = x.coords + r * q[:, n - 1]
+        return Geodesic(b, p - b @ (b.T @ p))
+    m = np.eye(n + 1)
+    m[:n, :n] = q
+    if space.is_sphere:
+        m = transport_to(space, x) @ m @ g_theta(space, math.asin(r)).T
+        return Geodesic(m[:, :k + 1], None)
+    m = transport_to(space, x) @ m @ g_theta(space, -math.asinh(r))
+    return Geodesic(m[:, n - k:], None)
+
+
+def _mean_stderr(vals):
+    vals = np.array(vals)
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
+
+
+@pytest.mark.parametrize("space,coords,other,r", [
+    (Space("euclidean", 3, 2), [0.2, 0.1, -0.3], [-0.4, 0.3, 0.1], 0.5),
+    (Space("sphere", 3, 2), [0.0, 0.6, 0.0, 0.8], [0.6, 0.0, 0.8, 0.0], 0.3),
+    (Space("hyperbolic", 2, 1), [math.sinh(0.4), 0.0, math.cosh(0.4)],
+     [0.0, math.sinh(0.3), math.cosh(0.3)], 0.7),
+])
+def test_dual_mc_matches_per_draw_loop(space, coords, other, r):
+    # the stacked draw against one rotation and one geodesic at a time, with
+    # phi the distance of the geodesic to a fixed point
+    x = point(space, coords)
+    y = point(space, other)
+    phi = lambda xi: distance_rho(space, y, xi)
+    cfg = DualConfig(mc_samples=300, seed=17)
+    rng = np.random.default_rng(cfg.seed)
+    want = _mean_stderr([phi(_geodesic_single(space, x, r, rng))
+                         for _ in range(cfg.mc_samples)])
+    assert tuple(dual_shifted_mc(space, phi, x, r, cfg)) == want
+
+
+def test_weighted_samplers_match_per_draw_loops():
+    # R^n: a Haar subspace and a Gaussian offset per draw, weighted by the
+    # inverse proposal density; S^n: a Haar great sphere per draw
+    cfg = DualConfig(mc_samples=200, seed=9, forward_nodes=16, quad_nodes=16)
+    a = lambda rho: math.exp(-rho * rho)
+    for space, phantom, coords in [(EU3, "gaussian", [0.2, 0.1, 0.0]),
+                                   (SP2, "even-poly", [0.6, 0.0, 0.8])]:
+        f = make_phantom(space, phantom)
+        x = point(space, coords)
+        n, k = space.n, space.k
+        rng = np.random.default_rng(cfg.seed + 1)
+        vals = []
+        for _ in range(cfg.mc_samples):
+            if space.is_euclidean:
+                q = _haar_single(n, rng)
+                z = 2.5 * rng.standard_normal(n - k)
+                xi = Geodesic(q[:, :k], q[:, k:] @ z)
+                weight = math.exp(0.5 * float(z @ z) / 2.5 ** 2 + 0.5 * (n - k)
+                                  * math.log(2.0 * math.pi * 2.5 ** 2))
+            else:
+                xi = Geodesic(_haar_single(n + 1, rng)[:, :k + 1], None)
+                weight = 1.0
+            vals.append(weight * radon_forward(space, f, xi, nodes=16)
+                        * a(distance_rho(space, x, xi)))
+        bs = weighted_dual_both_sides(space, f, a, x, cfg)
+        assert (bs.lhs, bs.lhs_stderr) == _mean_stderr(vals)

@@ -6,8 +6,10 @@ import pytest
 from conftest import random_point
 from georadon.geometry import (Point, Rotation, Space, base_point,
                                center_distance, distance_rho, g_theta, geodesic,
-                               geodesic_at_distance, haar_rotation, point,
-                               rotate_geodesic, rotate_point, transport_to)
+                               geodesic_at_distance, geodesics_at_distance,
+                               haar_orthogonal, haar_rotation, haar_stabilizer,
+                               point, rotate_geodesic, rotate_point,
+                               transport_to)
 
 EU = Space("euclidean", 2, 1)
 SP = Space("sphere", 2, 1)
@@ -80,6 +82,46 @@ def test_haar_determinism_and_membership():
 def test_haar_stabilizer_embedding():
     m = haar_rotation(SP, 3).matrix
     assert m[2, 2] == 1.0 and np.all(m[2, :2] == 0.0) and np.all(m[:2, 2] == 0.0)
+
+
+def _haar_single(dim, rng):
+    # one draw at a time: QR of a Gaussian matrix, R's diagonal made
+    # positive, the last column flipped when det < 0
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_haar_stack_matches_single_draws(dim):
+    count = 400
+    stack = haar_orthogonal(dim, np.random.default_rng(dim), count)
+    rng = np.random.default_rng(dim)
+    single = np.array([_haar_single(dim, rng) for _ in range(count)])
+    assert stack.shape == (count, dim, dim)
+    assert np.array_equal(stack, single)
+    assert np.all(np.linalg.det(stack) > 0.0)
+    assert np.max(np.abs(np.linalg.det(stack) - 1.0)) < 1e-12
+    one = haar_orthogonal(dim, np.random.default_rng(dim))
+    assert np.array_equal(one, single[0])
+
+
+@pytest.mark.parametrize("space", [Space("euclidean", 3, 2),
+                                   Space("sphere", 3, 2),
+                                   Space("hyperbolic", 4, 2)])
+def test_geodesic_stack_matches_single_geodesics(space, rng):
+    x = random_point(space, rng)
+    g = haar_stabilizer(space, np.random.default_rng(8), 50).matrix
+    stack = geodesics_at_distance(space, x, 0.45, g)
+    for m, xi in zip(g, stack):
+        one = geodesic_at_distance(space, x, 0.45, Rotation(m))
+        assert np.array_equal(xi.basis, one.basis)
+        assert (xi.offset is None) == (one.offset is None)
+        if one.offset is not None:
+            assert np.array_equal(xi.offset, one.offset)
+        assert distance_rho(space, x, xi) == pytest.approx(0.45, abs=1e-12)
 
 
 def test_haar_zero_mean():
