@@ -18,9 +18,9 @@ import numpy as np
 
 from .constants import _sign, c_k_value, theta_poly_coeffs, theta_sinh
 from .fields import ScalarField
-from .geometry import (Geodesic, Point, Space, base_point, center_distance,
-                       check_distance, distance_rho, geodesic_frames,
-                       geodesics_at_distance, haar_from_normals,
+from .geometry import (Geodesic, Point, Space, _geodesic_frames,
+                       _haar_from_normals, base_point, center_distance,
+                       check_distance, distance_rho, geodesics_at_distance,
                        haar_orthogonal, haar_stabilizer, point, sphere_area)
 from .kernels import psi_poly_coeffs
 from .numerics import gl_nodes, quad_log_singular
@@ -76,9 +76,21 @@ class BothSides(NamedTuple):
     rhs: float
 
 
-def _mc_estimate(vals) -> McEstimate:
-    """Mean and standard error of an array of Monte Carlo draws."""
-    vals = np.asarray(vals, dtype=float)
+# Monte Carlo draws are built this many at a time, so their rotation stacks
+# and geodesics take bounded memory at any sample count; consecutive blocks
+# consume the generator's stream as one stack of all the draws would
+MC_BLOCK = 4096
+
+
+def _blocks(total: int):
+    for start in range(0, total, MC_BLOCK):
+        yield min(MC_BLOCK, total - start)
+
+
+def _mc_estimate(vals, count: int) -> McEstimate:
+    """Mean and standard error of `count` Monte Carlo values from an
+    iterable."""
+    vals = np.fromiter(vals, dtype=float, count=count)
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
@@ -136,13 +148,15 @@ def dual_shifted_mean(space: Space, f: ScalarField, x: Point, r: float,
 def dual_shifted_mc(space: Space, phi: Callable[[Geodesic], float], x: Point,
                     r: float, cfg: DualConfig | None = None) -> McEstimate:
     """Monte Carlo average of phi over geodesics at distance value r from x:
-    all cfg.mc_samples stabilizer rotations are drawn as one stack."""
+    the stabilizer rotations are drawn as stacks of up to MC_BLOCK."""
     cfg = cfg or DualConfig()
     check_distance(space, r)
     rng = np.random.default_rng(cfg.seed)
-    g = haar_stabilizer(space, rng, cfg.mc_samples).matrix
-    return _mc_estimate([phi(xi) for xi in
-                         geodesics_at_distance(space, x, r, g)])
+    return _mc_estimate(
+        (phi(xi) for count in _blocks(cfg.mc_samples)
+         for xi in geodesics_at_distance(
+             space, x, r, haar_stabilizer(space, rng, count).matrix)),
+        cfg.mc_samples)
 
 
 class _Reduction:
@@ -287,7 +301,7 @@ def _euclidean_draws(space: Space):
 
     def draws(rng, count):
         normals = rng.standard_normal((count, n * n + d))
-        qs = haar_from_normals(normals[:, :n * n].reshape(count, n, n))
+        qs = _haar_from_normals(normals[:, :n * n].reshape(count, n, n))
         zs = _PROPOSAL_STD * normals[:, n * n:]
         return [(Geodesic(q[:, :k], q[:, k:] @ z),
                  math.exp(0.5 * float(z @ z) / _PROPOSAL_STD ** 2 - log_norm))
@@ -320,8 +334,8 @@ def _hyperbolic_draws(space: Space, x: Point, theta_max: float):
 
     def draw(rng):
         th = theta_max * rng.random()
-        basis, _ = geodesic_frames(space, z, th,
-                                   haar_stabilizer(space, rng).matrix)
+        basis, _ = _geodesic_frames(space, z, th,
+                                    haar_stabilizer(space, rng).matrix)
         nu = math.sinh(th) ** (n - k - 1) * math.cosh(th) ** k
         return Geodesic(basis, None), sig * theta_max * nu
 
@@ -352,10 +366,12 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
         submanifold = _sphere_draws(space)
     else:
         submanifold = _hyperbolic_draws(space, x, hi)
-    draws = submanifold(np.random.default_rng(cfg.seed + 1), cfg.mc_samples)
-    lhs = _mc_estimate([
-        weight * radon_forward(space, f, xi, nodes=cfg.forward_nodes)
-        * a(distance_rho(space, x, xi)) for xi, weight in draws])
+    rng = np.random.default_rng(cfg.seed + 1)
+    lhs = _mc_estimate(
+        (weight * radon_forward(space, f, xi, nodes=cfg.forward_nodes)
+         * a(distance_rho(space, x, xi)) for count in _blocks(cfg.mc_samples)
+         for xi, weight in submanifold(rng, count)),
+        cfg.mc_samples)
     edges = sorted({0.0, hi, *(float(model.asn(b)) for b in a_breaks
                                if 0.0 < b < model.sn(hi))})
     rhs = 0.0

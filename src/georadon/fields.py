@@ -51,7 +51,8 @@ def zonal_field(space: Space, a, h: Callable[[np.ndarray], np.ndarray],
     if space.is_euclidean:
         def q(pts):
             d = pts - a
-            return np.sum(d * d, axis=-1)
+            # np.sum's own reduction, without its Python-level dispatch
+            return np.add.reduce(d * d, axis=-1)
     else:
         form = space.curvature.form
 

@@ -34,14 +34,12 @@ __all__ = [
     "check_distance",
     "center_distance",
     "haar_orthogonal",
-    "haar_from_normals",
     "haar_rotation",
     "haar_stabilizer",
     "g_theta",
     "transport_to",
     "geodesic_at_distance",
     "geodesics_at_distance",
-    "geodesic_frames",
     "rotate_point",
     "rotate_geodesic",
 ]
@@ -79,6 +77,14 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / gamma_half((m + 1) / 2.0)
 
 
+@lru_cache(maxsize=None)
+def _signature(kappa: float, size: int) -> np.ndarray:
+    j = np.full(size, kappa)
+    j[-1] = 1.0
+    j.flags.writeable = False
+    return j
+
+
 @dataclass(frozen=True)
 class Curvature:
     """One model of R^n, S^n and H^n: curvature kappa = 0, +1 or -1.
@@ -100,10 +106,9 @@ class Curvature:
     folds: int  # radii in (0, folds * rho_max) that share one value of sn
 
     def signature(self, size: int) -> np.ndarray:
-        """The diagonal (kappa, ..., kappa, 1) of the form, of length size."""
-        j = np.full(size, self.kappa)
-        j[-1] = 1.0
-        return j
+        """The diagonal (kappa, ..., kappa, 1) of the form, of length size;
+        cached and read-only."""
+        return _signature(self.kappa, size)
 
     def form(self, x: np.ndarray, y: np.ndarray):
         """The bilinear form diag(kappa, ..., kappa, 1) of the curved models:
@@ -307,10 +312,10 @@ def haar_orthogonal(dim: int, rng: np.random.Generator,
     """Haar-distributed SO(dim) matrix, or a (count, dim, dim) stack of them
     drawn from the same normals as count single draws."""
     shape = (dim, dim) if count is None else (count, dim, dim)
-    return haar_from_normals(rng.standard_normal(shape))
+    return _haar_from_normals(rng.standard_normal(shape))
 
 
-def haar_from_normals(a: np.ndarray) -> np.ndarray:
+def _haar_from_normals(a: np.ndarray) -> np.ndarray:
     """The SO(d) matrices of a stack (..., d, d) of standard normal matrices:
     Q of the QR factorization with R's diagonal made positive, then the last
     column flipped where det Q < 0 (Mezzadri, Notices AMS 54, 2007)."""
@@ -424,13 +429,13 @@ def geodesics_at_distance(space: Space, x: Point, r: float,
     check_distance(space, r)
     theta = r if space.is_euclidean else \
         math.asin(r) if space.is_sphere else math.asinh(r)
-    bases, offsets = geodesic_frames(space, x, theta, g)
+    bases, offsets = _geodesic_frames(space, x, theta, g)
     if offsets is None:
         return [Geodesic(b, None) for b in bases]
     return [Geodesic(b, u) for b, u in zip(bases, offsets)]
 
 
-def geodesic_frames(space: Space, x: Point, theta: float, g: np.ndarray):
+def _geodesic_frames(space: Space, x: Point, theta: float, g: np.ndarray):
     """(bases, offsets) of the geodesics at geodesic distance theta from x
     selected by g, one ambient rotation (dim, dim) or a stack of them; the
     offsets are None on the curved models.

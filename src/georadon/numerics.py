@@ -38,13 +38,19 @@ class RadialProfile:
             raise ValueError("profile values must be finite")
 
 
+# the highest order of the rules built from a dense eigenproblem:
+# gauss_legendre and zonal_rule
+RULE_MAX_ORDER = 512
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
     """Standard n-point Gauss-Legendre rule on (-1, 1), symmetry enforced.
 
     Returns read-only (nodes, weights)."""
-    if not 1 <= n <= 512:
-        raise ValueError(f"gauss_legendre order must be in [1, 512], got {n}")
+    if not 1 <= n <= RULE_MAX_ORDER:
+        raise ValueError(f"gauss_legendre order must be in "
+                         f"[1, {RULE_MAX_ORDER}], got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
     # symmetrize against roundoff so that x[i] == -x[n-1-i] exactly
     x = 0.5 * (x - x[::-1])
@@ -237,9 +243,9 @@ def zonal_rule(m: int, polar_nodes: int = 64):
     if m < 1:
         raise ValueError("zonal rule needs a sphere of dimension >= 1")
     # the Jacobi matrix is dense: cap it where gauss_legendre caps its order
-    if not 1 <= polar_nodes <= 512:
-        raise ValueError(
-            f"zonal rule order must be in [1, 512], got {polar_nodes}")
+    if not 1 <= polar_nodes <= RULE_MAX_ORDER:
+        raise ValueError(f"zonal rule order must be in [1, {RULE_MAX_ORDER}],"
+                         f" got {polar_nodes}")
     j = np.arange(1.0, polar_nodes)
     if m == 1:
         b = np.full(j.size, 0.25)

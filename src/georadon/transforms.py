@@ -10,7 +10,7 @@ import numpy as np
 from .fields import ScalarField
 from .geometry import (Geodesic, Point, Space, base_point, check_distance,
                        sphere_area, transport_to)
-from .numerics import gl_nodes, sphere_rule, zonal_rule
+from .numerics import RULE_MAX_ORDER, gl_nodes, sphere_rule, zonal_rule
 
 __all__ = [
     "radon_forward",
@@ -122,27 +122,36 @@ def tilde_mean(space: Space, f: ScalarField, x: Point, t,
         / model.cs(rho)
 
 
+def _hyperbolic_foot(space: Space, xi: Geodesic, anchor: np.ndarray):
+    # the point p of xi nearest to `anchor`, the cosh of its distance from
+    # anchor, and the components c = [b_j, anchor] along xi's basis
+    # (timelike last), whose signed combination projects anchor onto xi
+    b = xi.basis
+    k = space.k
+    form = space.curvature.form
+    c = form(b.T, anchor)
+    proj = b[:, k] * c[k] - b[:, :k] @ c[:k]
+    q = float(form(proj, proj))
+    if q < 1.0 - 1e-10:
+        raise ValueError("degenerate projection onto the geodesic subspace")
+    cosh_d0 = math.sqrt(max(1.0, q))
+    return proj / cosh_d0, cosh_d0, c
+
+
 def _hyperbolic_frame(space: Space, xi: Geodesic, anchor: np.ndarray):
     # re-anchor the stored basis at the point of xi nearest to `anchor`:
     # a timelike unit vector plus k spacelike ones, Lorentz-orthogonal
     b = xi.basis
-    k = space.k
     form = space.curvature.form
-    comp = form(b.T, anchor)
-    proj = b[:, k] * comp[k] - b[:, :k] @ comp[:k]
-    q = float(form(proj, proj))
-    if q < 1.0 - 1e-10:
-        raise ValueError("degenerate projection onto the geodesic subspace")
-    p = proj / math.sqrt(max(1.0, q))
-    d0 = math.acosh(max(1.0, math.sqrt(max(1.0, q))))
+    p, cosh_d0, _ = _hyperbolic_foot(space, xi, anchor)
     vs = []
-    for i in range(k):
+    for i in range(space.k):
         v = b[:, i] - form(b[:, i], p) * p
         for prev in vs:
             v = v + form(v, prev) * prev
         norm = math.sqrt(max(0.0, -form(v, v)))
         vs.append(v / norm)
-    return p, np.column_stack(vs), d0
+    return p, np.column_stack(vs), math.acosh(cosh_d0)
 
 
 def radon_forward(space: Space, f: ScalarField, xi: Geodesic,
@@ -151,20 +160,26 @@ def radon_forward(space: Space, f: ScalarField, xi: Geodesic,
     Lebesgue on the k-plane, Lebesgue on the great k-sphere, invariant
     (hyperbolic volume) measure on the geodesic H^k.
 
-    A field with a zonal profile is integrated in one dimension (see
-    `_zonal_forward`). Any other field takes the product rule of the great
+    A field with a zonal profile (a, h) is constant on every geodesic sphere
+    of the submanifold about the point nearest a, so it is integrated in one
+    dimension, evaluating f along one curve: `_zonal_ray_forward` on R^n and
+    H^n, `_zonal_sphere_forward` on S^n. Any other field, or on S^n a zonal
+    one past the zonal rule's order, takes the product rule of the great
     k-sphere on S^n, and on R^n and H^n polar coordinates about the foot of
     its center over `sphere_rule(k - 1, nodes)`.
     """
-    if space.is_sphere and f.zonal is None:
+    zonal = f.zonal is not None
+    if space.is_sphere:
+        if zonal and nodes <= RULE_MAX_ORDER:
+            return _zonal_sphere_forward(space, f, xi, nodes)
         # the great k-sphere takes the cached product rule over its basis
         z, w = bounded_sphere_rule(space.k, nodes, 1, "sphere",
                                    space.ambient_dim, "node count")
         return float(np.dot(w, f(z @ xi.basis.T)))
-    if not (space.is_sphere or math.isfinite(f.decay_scale)):
+    if not math.isfinite(f.decay_scale):
         raise ValueError("non-integrable field: no finite decay radius")
-    if f.zonal is not None:
-        return _zonal_forward(space, f, xi, nodes)
+    if zonal:
+        return _zonal_ray_forward(space, f, xi, nodes)
     k, model = space.k, space.curvature
     anchor = f.center if f.center is not None else base_point(space).coords
     if space.is_euclidean:
@@ -200,38 +215,68 @@ def _unit_radial_rule(nodes: int):
     return x, w
 
 
-def _zonal_forward(space: Space, f: ScalarField, xi: Geodesic,
-                   nodes: int) -> float:
-    """radon_forward of a field with a zonal profile (a, h), in one dimension.
+def _zonal_ray_forward(space: Space, f: ScalarField, xi: Geodesic,
+                       nodes: int) -> float:
+    """radon_forward on R^n or H^n of a field with a zonal profile (a, h).
 
-    S^n: sigma_k times the mean of h(|B^T a| u) over the nodes-node
-    `zonal_rule` of S^k (Funk-Hecke). R^n and H^n: at distance delta from
-    the foot of a, at distance d0 from a, q(y) is d0^2 + delta^2 and
-    cosh d0 cosh delta, so the transform is sigma_(k-1) int h(q) sn^(k-1)
-    d delta over the radii of the polar integrator.
+    f is constant on every sphere of the submanifold about the foot p of a,
+    so the polar integral is sigma_(k-1) int f(cs(delta) p + sn(delta) t)
+    sn(delta)^(k-1) d delta along one unit tangent t at p, over the radii
+    of the polar integrator.
     """
     k, model = space.k, space.curvature
-    axis, h = f.zonal
-    if space.is_sphere:
-        c = xi.basis.T @ axis
-        u, w = zonal_rule(k, nodes)
-        return sphere_area(k) * float(h(math.sqrt(float(c @ c)) * u) @ w)
+    axis, b = f.zonal[0], xi.basis
     if space.is_euclidean:
         v = axis - xi.offset
-        perp = v - xi.basis @ (xi.basis.T @ v)
-        d0_sq = float(perp @ perp)
-        d0 = math.sqrt(d0_sq)
+        perp = v - b @ (b.T @ v)
+        p, t, d0 = axis - perp, b[:, 0], math.sqrt(float(perp @ perp))
     else:
-        # cosh d0 is the Lorentz norm of a's projection onto xi's span
-        c = model.form(xi.basis.T, axis)
-        cosh_d0 = math.sqrt(max(1.0, float(model.form(c, c))))
+        p, cosh_d0, c = _hyperbolic_foot(space, xi, axis)
+        # b_0 less its component [b_0, p] = c_0 / cosh d0 along p has
+        # Lorentz norm sqrt(1 + [b_0, p]^2)
+        s = c[0] / cosh_d0
+        t = (b[:, 0] - s * p) / math.sqrt(1.0 + s * s)
         d0 = math.acosh(cosh_d0)
-    x, wx = _unit_radial_rule(nodes)
     length = f.decay_scale + d0 + 0.5
+    x, wx = _unit_radial_rule(nodes)
     deltas = length * x
-    q = d0_sq + deltas * deltas if space.is_euclidean \
-        else cosh_d0 * model.cs(deltas)
-    vals = h(q)
     sn = model.sn(deltas)
+    ray = np.multiply.outer(sn, t)
+    ray += np.multiply.outer(model.cs(deltas), p)
+    vals = f(ray)
     _check_tail(k, sn[-1], abs(vals[-1]))
     return sphere_area(k - 1) * length * float((wx * sn ** (k - 1)) @ vals)
+
+
+@lru_cache(maxsize=None)
+def _meridian_rule(m: int, nodes: int):
+    # `zonal_rule(m, nodes)` as the points (u_j, sqrt(1 - u_j^2)) of a
+    # half circle, with its weights
+    u, w = zonal_rule(m, nodes)
+    pts = np.column_stack([u, np.sqrt(1.0 - u * u)])
+    pts.flags.writeable = False
+    return pts, w
+
+
+def _zonal_sphere_forward(space: Space, f: ScalarField, xi: Geodesic,
+                          nodes: int) -> float:
+    """radon_forward on S^n of a field with a zonal profile (a, h).
+
+    With c = B^T a, f(B omega) = h(c . omega) on the great k-sphere depends
+    only on the cosine u of omega to c, so by Funk-Hecke the integral is
+    sigma_k sum_j w_j f(B omega_j) over the nodes-node `zonal_rule(k, nodes)`,
+    with omega_j the point of cosine u_j on one meridian from c.
+    """
+    b = xi.basis
+    c = b.T @ f.zonal[0]
+    norm = math.sqrt(float(c @ c))
+    pole = c / norm if norm > 0.0 else np.eye(c.size)[0]
+    # the coordinate axis least aligned with the pole, less its component
+    # along the pole, normalized
+    i = int(np.argmin(np.abs(pole)))
+    side = -pole[i] * pole
+    side[i] += 1.0
+    side /= math.sqrt(1.0 - pole[i] * pole[i])
+    half_circle, w = _meridian_rule(space.k, nodes)
+    pts = half_circle @ (np.stack([pole, side]) @ b.T)
+    return sphere_area(space.k) * float(w @ f(pts))

@@ -10,6 +10,16 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("ci")
 
 
+def haar_single(dim, rng):
+    """One Haar draw of SO(dim) at a time: QR of a Gaussian matrix, R's
+    diagonal made positive, the last column flipped when det < 0."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
 def random_point(space: Space, rng: np.random.Generator):
     if space.kind == "euclidean":
         from georadon.geometry import Point

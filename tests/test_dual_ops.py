@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import georadon.dual_ops as dual_ops
 import georadon.kernels as kernels
+from conftest import haar_single
 from georadon.dual_ops import (DualConfig, L_star, L_tilde_star, Lambda_r,
                                dual_shifted_mc, dual_shifted_mean,
                                l_star_profile, l_tilde_star_profile,
@@ -246,19 +248,10 @@ def test_weighted_dual_sgn_kernel_sphere():
     assert abs(bs.lhs - bs.rhs) < 4.0 * bs.lhs_stderr
 
 
-def _haar_single(dim, rng):
-    # one Haar draw of SO(dim): QR of a Gaussian matrix with signs fixed
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
-    return q
-
-
 def _geodesic_single(space, x, r, rng):
     # one geodesic at distance value r from x, built from one Haar draw
     n, k = space.n, space.k
-    q = _haar_single(n, rng)
+    q = haar_single(n, rng)
     if space.is_euclidean:
         b = q[:, :k]
         p = x.coords + r * q[:, n - 1]
@@ -277,15 +270,23 @@ def _mean_stderr(vals):
     return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
 
+# the default block, and a block that splits the draws into many stacks with
+# a shorter last one
+BLOCKS = [dual_ops.MC_BLOCK, 7]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("space,coords,other,r", [
     (Space("euclidean", 3, 2), [0.2, 0.1, -0.3], [-0.4, 0.3, 0.1], 0.5),
     (Space("sphere", 3, 2), [0.0, 0.6, 0.0, 0.8], [0.6, 0.0, 0.8, 0.0], 0.3),
     (Space("hyperbolic", 2, 1), [math.sinh(0.4), 0.0, math.cosh(0.4)],
      [0.0, math.sinh(0.3), math.cosh(0.3)], 0.7),
 ])
-def test_dual_mc_matches_per_draw_loop(space, coords, other, r):
-    # the stacked draw against one rotation and one geodesic at a time, with
+def test_dual_mc_matches_per_draw_loop(space, coords, other, r, block,
+                                       monkeypatch):
+    # the stacked draws against one rotation and one geodesic at a time, with
     # phi the distance of the geodesic to a fixed point
+    monkeypatch.setattr(dual_ops, "MC_BLOCK", block)
     x = point(space, coords)
     y = point(space, other)
     phi = lambda xi: distance_rho(space, y, xi)
@@ -296,9 +297,11 @@ def test_dual_mc_matches_per_draw_loop(space, coords, other, r):
     assert tuple(dual_shifted_mc(space, phi, x, r, cfg)) == want
 
 
-def test_weighted_samplers_match_per_draw_loops():
+@pytest.mark.parametrize("block", BLOCKS)
+def test_weighted_samplers_match_per_draw_loops(block, monkeypatch):
     # R^n: a Haar subspace and a Gaussian offset per draw, weighted by the
     # inverse proposal density; S^n: a Haar great sphere per draw
+    monkeypatch.setattr(dual_ops, "MC_BLOCK", block)
     cfg = DualConfig(mc_samples=200, seed=9, forward_nodes=16, quad_nodes=16)
     a = lambda rho: math.exp(-rho * rho)
     for space, phantom, coords in [(EU3, "gaussian", [0.2, 0.1, 0.0]),
@@ -310,13 +313,13 @@ def test_weighted_samplers_match_per_draw_loops():
         vals = []
         for _ in range(cfg.mc_samples):
             if space.is_euclidean:
-                q = _haar_single(n, rng)
+                q = haar_single(n, rng)
                 z = 2.5 * rng.standard_normal(n - k)
                 xi = Geodesic(q[:, :k], q[:, k:] @ z)
                 weight = math.exp(0.5 * float(z @ z) / 2.5 ** 2 + 0.5 * (n - k)
                                   * math.log(2.0 * math.pi * 2.5 ** 2))
             else:
-                xi = Geodesic(_haar_single(n + 1, rng)[:, :k + 1], None)
+                xi = Geodesic(haar_single(n + 1, rng)[:, :k + 1], None)
                 weight = 1.0
             vals.append(weight * radon_forward(space, f, xi, nodes=16)
                         * a(distance_rho(space, x, xi)))

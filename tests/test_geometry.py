@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_point
+from conftest import haar_single, random_point
 from georadon.geometry import (Point, Rotation, Space, base_point,
                                center_distance, distance_rho, g_theta, geodesic,
                                geodesic_at_distance, geodesics_at_distance,
@@ -84,22 +84,12 @@ def test_haar_stabilizer_embedding():
     assert m[2, 2] == 1.0 and np.all(m[2, :2] == 0.0) and np.all(m[:2, 2] == 0.0)
 
 
-def _haar_single(dim, rng):
-    # one draw at a time: QR of a Gaussian matrix, R's diagonal made
-    # positive, the last column flipped when det < 0
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
-    return q
-
-
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_haar_stack_matches_single_draws(dim):
     count = 400
     stack = haar_orthogonal(dim, np.random.default_rng(dim), count)
     rng = np.random.default_rng(dim)
-    single = np.array([_haar_single(dim, rng) for _ in range(count)])
+    single = np.array([haar_single(dim, rng) for _ in range(count)])
     assert stack.shape == (count, dim, dim)
     assert np.array_equal(stack, single)
     assert np.all(np.linalg.det(stack) > 0.0)

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import georadon.cli as cli
 from conftest import random_point
 from georadon.constants import sphere_area
 from georadon.fields import ScalarField, make_phantom, rotate_field
@@ -429,26 +431,47 @@ def test_zonal_forward_matches_polar_integrator(kind, n, k):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_zonal_forward_k4_euclidean():
-    # the plane integral of e^-|y|^2 over a 4-plane at distance d from 0
+def _cli_forward(capsys, space, *args):
+    # `georadon forward` through cli.main, and the geodesic it integrates over
+    argv = ["forward", "--space", space.kind, "--n", str(space.n), "--k",
+            str(space.k), *args]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    xi = geodesic_at_distance(space, base_point(space), out["distance"],
+                              haar_rotation(space, out["seed"]))
+    return out["value"], xi
+
+
+def test_zonal_forward_k4_euclidean(capsys):
+    # the plane integral of e^-|y|^2 over 4-planes at distance 0 and 0.8
+    # from 0, and `forward --space euclidean --n 5 --k 4` at its defaults
     space = Space("euclidean", 5, 4)
     f = make_phantom(space, "gaussian")
+    zero = np.zeros(5)
     for seed, d in ((1, 0.0), (2, 0.8)):
-        xi = geodesic_at_distance(space, Point(np.zeros(5)), d,
+        xi = geodesic_at_distance(space, Point(zero), d,
                                   haar_rotation(space, seed))
-        want = math.pi ** 2 * math.exp(-d * d)
+        want = _gaussian_closed(space, xi, zero)
+        assert want == pytest.approx(math.pi ** 2 * math.exp(-d * d))
         assert abs(radon_forward(space, f, xi) - want) <= 1e-10 * want
+    got, xi = _cli_forward(capsys, space)
+    want = _gaussian_closed(space, xi, zero)
+    assert abs(got - want) <= 1e-10 * want
 
 
-def test_zonal_forward_k4_sphere():
+def test_zonal_forward_k4_sphere(capsys):
+    # the even polynomial over great 4-spheres at two distances from an
+    # off-axis point, and `forward --space sphere --n 5 --k 4` at defaults
     space = Space("sphere", 5, 4)
     f = make_phantom(space, "even-poly")
     x = _off_axis_point(space)
     for seed, r in ((1, 0.0), (2, 0.5)):
         xi = geodesic_at_distance(space, x, r, haar_rotation(space, seed))
-        b0 = xi.basis[0, :]
-        want = sphere_area(4) * (1.0 + float(b0 @ b0) / 5.0)
+        want = _even_poly_closed(space, xi)
         assert abs(radon_forward(space, f, xi) - want) <= 1e-10 * want
+    got, xi = _cli_forward(capsys, space, "--phantom", "even-poly")
+    want = _even_poly_closed(space, xi)
+    assert abs(got - want) <= 1e-10 * want
 
 
 def test_zonal_forward_k4_hyperbolic():
@@ -469,12 +492,22 @@ def test_zonal_forward_k4_hyperbolic():
         assert abs(got - head) <= 1e-12 * head
 
 
-def test_zonal_sphere_forward_refuses_large_rule():
-    space = Space("sphere", 3, 2)
-    f = make_phantom(space, "even-poly")
-    xi = geodesic(space, np.eye(4)[:, :3])
-    assert radon_forward(space, f, xi, nodes=512) == pytest.approx(
-        _even_poly_closed(space, xi), rel=1e-12)
-    with pytest.raises(ValueError, match=r"zonal rule order must be in "
+def test_zonal_sphere_forward_past_zonal_rule_takes_product_rule():
+    # past the zonal rule's order a zonal field takes the product rule, as a
+    # field without a profile does: S^2 k=1 at 600 nodes is 1200 azimuth
+    # points, while on S^3 k=2 the product rule's polar Gauss-Legendre order
+    # is refused
+    for space, nodes in ((Space("sphere", 2, 1), 600),
+                         (Space("sphere", 3, 2), 512)):
+        f = make_phantom(space, "even-poly")
+        plain = ScalarField(f.evaluator, f.decay_scale, center=f.center)
+        xi = geodesic(space, np.eye(space.n + 1)[:, :space.k + 1])
+        want = _even_poly_closed(space, xi)
+        assert radon_forward(space, f, xi, nodes=nodes) == pytest.approx(
+            want, rel=1e-12)
+        if nodes > 512:
+            assert radon_forward(space, f, xi, nodes=nodes) == \
+                radon_forward(space, plain, xi, nodes=nodes)
+    with pytest.raises(ValueError, match=r"gauss_legendre order must be in "
                                          r"\[1, 512\], got 513"):
         radon_forward(space, f, xi, nodes=513)
