@@ -13,9 +13,9 @@ from .geometry import (EUCLIDEAN, HYPERBOLIC, SPHERE, Curvature, Geodesic,
                        Point, Rotation, Space, base_point, center_distance,
                        distance_rho, geodesic, geodesic_at_distance,
                        haar_rotation, point, rotate_geodesic, rotate_point)
-from .inversion import (GridSpec, InversionReport, invert_mader,
-                        invert_shifted_dual, mader_classical,
-                        mader_radial_average)
+from .inversion import (ChebyshevTable, GridSpec, InversionReport,
+                        invert_mader, invert_shifted_dual, mader_classical,
+                        mader_radial_average, tabulate_radial_average)
 from .kernels import (KernelParams, lambda_coeffs, mu_alpha, phi_closed,
                       phi_oracle, psi_k_closed, psi_sign, theta_alpha)
 from .numerics import (RadialProfile, endpoint_derivative, gauss_legendre,

@@ -169,7 +169,7 @@ class _Reduction:
     """
 
     def __init__(self, space: Space, f: ScalarField, x: Point, cfg: DualConfig,
-                 need_log_moment: bool):
+                 need_log_moment: bool, log_stats: dict | None = None):
         self.cfg = cfg
         k = space.k
         self.k = k
@@ -189,10 +189,22 @@ class _Reduction:
         self.tilde = lambda ts: tilde_mean(space, f, x, ts, cfg.mean_polar)
         self.log_moment = None
         if need_log_moment:
+            # the log quadrature passes all nodes of a side at once; a field
+            # without a profile takes its product-rule means there in blocks
+            # no larger than the moment rule's
+            rows = rho.size if f.zonal is None else None
+
             def integrand(rho):
                 sn = model.sn(rho)
-                return mt(model.mean_t(rho)) * sn ** k * np.log(sn)
-            self.log_moment = quad_log_singular(integrand, 0.0, hi, s=0.0)
+                ts = model.mean_t(rho)
+                if rows is None:
+                    means = mt(ts)
+                else:
+                    means = np.concatenate([mt(ts[i:i + rows])
+                                            for i in range(0, ts.size, rows)])
+                return means * sn ** k * np.log(sn)
+            self.log_moment = quad_log_singular(integrand, 0.0, hi, s=0.0,
+                                                stats=log_stats)
 
     def cusp_even(self, r: float, coeffs: np.ndarray) -> float:
         # int_0^r mtilde(t) t^k ThetaPoly(r/t) dt; substituting t = r tau turns
@@ -247,15 +259,20 @@ def L_star(space: Space, f: ScalarField, x: Point, r: float,
 
 
 def l_tilde_star_profile(space: Space, f: ScalarField, x: Point, rs,
-                         cfg: DualConfig | None = None) -> np.ndarray:
-    """Values of the log-weighted dual operator on a grid of r (k odd)."""
+                         cfg: DualConfig | None = None,
+                         log_stats: dict | None = None) -> np.ndarray:
+    """Values of the log-weighted dual operator on a grid of r (k odd).
+
+    A `log_stats` dict receives the `quad_log_singular` stats of the log
+    moment."""
     cfg = cfg or DualConfig()
     k = space.k
     if k % 2 != 1:
         raise ValueError("the log operator requires odd k")
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     check_distance(space, rs)
-    red = _Reduction(space, f, x, cfg, need_log_moment=True)
+    red = _Reduction(space, f, x, cfg, need_log_moment=True,
+                     log_stats=log_stats)
     pcoef = psi_poly_coeffs(k)
     a_term = 2.0 * c_k_value(k) * red.log_moment
     sign = _sign((k - 1) // 2)

@@ -3,9 +3,10 @@ the weighted shifted-dual formula, and the classical 1927 hyperplane pair."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .constants import (LOG_ODD, SGN_EVEN, SHIFTED_DUAL, InversionConstant,
                         classical_log_constant, classical_sgn_constant,
@@ -24,6 +25,8 @@ __all__ = [
     "invert_mader",
     "invert_shifted_dual",
     "mader_radial_average",
+    "tabulate_radial_average",
+    "ChebyshevTable",
     "mader_classical",
 ]
 
@@ -32,6 +35,15 @@ __all__ = [
 _PARITY_RESIDUAL_TOL = 1e-6
 # the classical pipeline's s-integrals stop at |s| = S_CAP
 S_CAP = 8.0
+# the classical pair tabulates its direction average at this many Chebyshev
+# points of [-S_CAP, S_CAP], each size's points containing the last's
+_CHEB_SIZES = (65, 129, 257, 513)
+# a tabulation is accepted once its trailing quarter of Chebyshev
+# coefficients lies below this fraction of its largest value
+_CHEB_TOL = 1e-14
+# one direction-average call of the tabulation covers at most this many
+# bytes of data values (s-values x directions)
+_AVERAGE_BLOCK_BYTES = 1 << 23
 
 
 @dataclass
@@ -50,6 +62,8 @@ class InversionReport:
     derivative_order: int
     constant_used: InversionConstant
     conditioning: float
+    # rule sizes and error estimates of the stages, kept out of the results
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def rel_error(self) -> float | None:
@@ -79,14 +93,16 @@ def _fit(profile: RadialProfile, order: int, degree: int, preferred: str):
 
 
 def _reconstruct(grid, values, order: int, degree: int, basis: str,
-                 const: InversionConstant, truth: float | None) -> InversionReport:
+                 const: InversionConstant, truth: float | None,
+                 diagnostics: dict | None = None) -> InversionReport:
     """Fit the profile sampled on grid, take its order-th derivative at 0 and
     divide it by the pipeline's constant."""
     profile = RadialProfile(grid, values)
     deriv, res = _fit(profile, order, degree, basis)
     return InversionReport(estimate=deriv / const.value, truth=truth,
                            profile=profile, derivative_order=order,
-                           constant_used=const, conditioning=res)
+                           constant_used=const, conditioning=res,
+                           diagnostics=diagnostics or {})
 
 
 def invert_mader(space: Space, f: ScalarField, x: Point,
@@ -103,10 +119,15 @@ def invert_mader(space: Space, f: ScalarField, x: Point,
     k = space.k
     even = k % 2 == 0
     const = inversion_constant(space, SGN_EVEN if even else LOG_ODD)
-    operator = l_star_profile if even else l_tilde_star_profile
     rs = grid.h * np.arange(grid.j_max + 1)
-    return _reconstruct(rs, operator(space, f, x, rs, cfg), k + 1, k + 3,
-                        "odd_const" if even else "even", const, f.at(x))
+    stats = {}
+    if even:
+        values = l_star_profile(space, f, x, rs, cfg)
+    else:
+        values = l_tilde_star_profile(space, f, x, rs, cfg, log_stats=stats)
+    return _reconstruct(rs, values, k + 1, k + 3,
+                        "odd_const" if even else "even", const, f.at(x),
+                        {"log_" + key: v for key, v in stats.items()})
 
 
 def invert_shifted_dual(space: Space, f: ScalarField, x: Point,
@@ -140,6 +161,71 @@ def mader_radial_average(n: int, g, x: np.ndarray, s, polar_nodes: int = 64):
     return float(vals[0]) if scalar_in else vals
 
 
+@dataclass(frozen=True)
+class ChebyshevTable:
+    """A function on [-S_CAP, S_CAP] tabulated at `points` Chebyshev points:
+    its Chebyshev coefficients down to roundoff, and the tail estimate that
+    accepted them (the largest trailing coefficient over the largest value).
+    """
+
+    points: int
+    coeffs: np.ndarray
+    tail: float
+
+    def __call__(self, s):
+        return chebyshev.chebval(np.asarray(s) / S_CAP, self.coeffs)
+
+
+def _chebyshev_coeffs(vals: np.ndarray) -> np.ndarray:
+    # values at cos(pi j / m), j = 0..m, to Chebyshev coefficients: one real
+    # FFT of the even extension (a type-I cosine transform)
+    m = vals.size - 1
+    c = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / m
+    c[0] *= 0.5
+    c[-1] *= 0.5
+    return c
+
+
+def tabulate_radial_average(n: int, g, x: np.ndarray,
+                            polar_nodes: int = 64) -> ChebyshevTable:
+    """`mader_radial_average` of g as a Chebyshev interpolant in s on
+    [-S_CAP, S_CAP].
+
+    G is evaluated at 65, 129, 257, then 513 Chebyshev points, each size
+    reusing the values of the last, until the trailing quarter of its
+    coefficients falls below 1e-14 of its largest value. The points go to
+    `mader_radial_average` in blocks of at most 8 MiB of data values, so
+    memory stays bounded in any n the product rule's guard admits. Raises
+    ValueError when 513 points do not resolve G.
+    """
+    n_dirs = 2 * polar_nodes ** (n - 1)
+    rows = max(1, _AVERAGE_BLOCK_BYTES // (8 * n_dirs))
+    vals = None
+    for size in _CHEB_SIZES:
+        m = size - 1
+        fresh = np.arange(size) if vals is None else np.arange(1, m, 2)
+        s = S_CAP * np.cos(np.pi * fresh / m)
+        new = np.concatenate([
+            mader_radial_average(n, g, x, s[i:i + rows], polar_nodes)
+            for i in range(0, s.size, rows)])
+        # the last size's points are this size's even-indexed ones
+        vals = new if vals is None else \
+            np.insert(vals, np.arange(1, vals.size), new)
+        coeffs = _chebyshev_coeffs(vals)
+        scale = float(np.max(np.abs(vals)))
+        tail = float(np.max(np.abs(coeffs[-(m // 4):])))
+        tail = tail / scale if scale > 0.0 else 0.0
+        if tail <= _CHEB_TOL:
+            # the trailing coefficients below roundoff of the values go
+            return ChebyshevTable(size, chebyshev.chebtrim(
+                coeffs, np.finfo(float).eps * scale), tail)
+    raise ValueError(
+        f"the direction average is not resolved by {_CHEB_SIZES[-1]} "
+        f"Chebyshev points on [-{S_CAP:g}, {S_CAP:g}]: its trailing "
+        f"coefficients are {tail:.2e} of its largest value, over "
+        f"{_CHEB_TOL:g}; the hyperplane data vary too fast in s")
+
+
 def mader_classical(n: int, g, x: np.ndarray,
                     grid: GridSpec | None = None,
                     truth: float | None = None,
@@ -148,34 +234,39 @@ def mader_classical(n: int, g, x: np.ndarray,
     """The classical hyperplane inversion via n-fold differentiation at t = 0.
 
     Even n pairs the log kernel with an even profile; odd n pairs the sgn
-    kernel with an odd profile. The s-integrals truncate at |s| = 8.
+    kernel with an odd profile. The s-integrals truncate at |s| = 8 and
+    integrate the `tabulate_radial_average` interpolant of the direction
+    average, whose size and tail estimate the report's diagnostics hold
+    (with, on even n, the finest `quad_log_singular` level over t).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     grid = grid or GridSpec()
-
-    def big_g(svals):
-        return mader_radial_average(n, g, x, svals, polar_nodes)
+    big_g = tabulate_radial_average(n, g, x, polar_nodes)
+    diagnostics = {"chebyshev_points": big_g.points,
+                   "chebyshev_tail": big_g.tail}
+    ts = grid.h * np.arange(-grid.j_max, grid.j_max + 1)
 
     if n % 2 == 0:
         const = InversionConstant(1.0 / classical_log_constant(n),
                                   "classical_log")
         basis = "even"
-
-        def transform(t):
-            return quad_log_singular(
-                lambda s: big_g(s) * np.log(np.abs(s - t)), -S_CAP, S_CAP,
-                s=t)
+        stats = [{} for _ in ts]
+        values = [quad_log_singular(
+            lambda s: big_g(s) * np.log(np.abs(s - t)), -S_CAP, S_CAP, s=t,
+            stats=st) for t, st in zip(ts.tolist(), stats)]
+        diagnostics.update(log_nodes=max(st["nodes"] for st in stats),
+                           log_delta=max(st["delta"] for st in stats))
     else:
         const = InversionConstant(1.0 / classical_sgn_constant(n),
                                   "classical_sgn")
         basis = "odd"
+        lo, wlo = zip(*(gl_nodes(-S_CAP, t, quad_nodes, panels=2)
+                        for t in ts))
+        hi, whi = zip(*(gl_nodes(t, S_CAP, quad_nodes, panels=2)
+                        for t in ts))
+        values = (np.sum(np.array(whi) * big_g(np.array(hi)), axis=1)
+                  - np.sum(np.array(wlo) * big_g(np.array(lo)), axis=1))
 
-        def transform(t):
-            lo, wlo = gl_nodes(-S_CAP, t, quad_nodes, panels=2)
-            hi, whi = gl_nodes(t, S_CAP, quad_nodes, panels=2)
-            return float(np.dot(whi, big_g(hi)) - np.dot(wlo, big_g(lo)))
-
-    ts = grid.h * np.arange(-grid.j_max, grid.j_max + 1)
-    return _reconstruct(ts, [transform(float(t)) for t in ts], n, n + 3,
-                        basis, const, truth)
+    return _reconstruct(ts, values, n, n + 3, basis, const, truth,
+                        diagnostics)

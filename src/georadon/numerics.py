@@ -84,14 +84,13 @@ _LOG_TOL = 1e-11
 
 
 def _panel_sum(f, s: float, edges, n: int) -> float:
+    # the nodes of every panel go to f in one call
     nodes, weights = gauss_legendre(n)
-    total = 0.0
-    for lo, hi in edges:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        wn = mid + half * nodes
-        total += half * float(np.dot(weights, 2.0 * wn * f(s + wn * wn)))
-    return total
+    lo, hi = np.array(edges).T
+    half = 0.5 * (hi - lo)
+    wn = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+    vals = f(s + (wn * wn).ravel()).reshape(wn.shape)
+    return sum((half * ((2.0 * wn * vals) @ weights)).tolist())
 
 
 def _graded_half(f, s: float, length: float, n: int) -> float:
@@ -122,13 +121,16 @@ def _graded_half(f, s: float, length: float, n: int) -> float:
     return _panel_sum(f, s, edges, n)
 
 
-def quad_log_singular(f, a: float, b: float, s: float) -> float:
+def quad_log_singular(f, a: float, b: float, s: float,
+                      stats: dict | None = None) -> float:
     """Integrate f over [a, b] when f has at worst a log singularity at s.
 
     Splits at s and substitutes distance = w^2 on each side; panels are
-    graded geometrically toward the singular point. Accepted only after two
+    graded geometrically toward the singular point, and f is called once
+    per side with the nodes of all its panels. Accepted only after two
     successive refinements (24, 48, then 96 nodes per panel) agree within
-    1e-11.
+    1e-11. A `stats` dict receives the accepted node count per panel
+    ("nodes") and its change from the level before ("delta").
     """
     if not a <= s <= b:
         raise ValueError(f"singular point {s} outside [{a}, {b}]")
@@ -137,16 +139,17 @@ def quad_log_singular(f, a: float, b: float, s: float) -> float:
         return (_graded_half(f, s, b - s, order)
                 + _graded_half(lambda x: f(2.0 * s - x), s, s - a, order))
 
-    coarse = attempt(24)
-    fine = attempt(48)
-    if abs(fine - coarse) > _LOG_TOL:
-        finer = attempt(96)
-        if abs(finer - fine) > _LOG_TOL:
+    previous, order, value = attempt(24), 48, attempt(48)
+    if abs(value - previous) > _LOG_TOL:
+        previous, order, value = value, 96, attempt(96)
+        if abs(value - previous) > _LOG_TOL:
             raise ValueError(
                 "quad_log_singular did not converge; integrand is likely "
-                f"worse than logarithmic at {s} (last delta {abs(finer - fine):.3e})")
-        return finer
-    return fine
+                f"worse than logarithmic at {s} (last delta "
+                f"{abs(value - previous):.3e})")
+    if stats is not None:
+        stats.update(nodes=order, delta=abs(value - previous))
+    return value
 
 
 _PARITY_POWERS = {

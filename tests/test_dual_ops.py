@@ -6,12 +6,13 @@ from scipy.integrate import quad
 
 import georadon.dual_ops as dual_ops
 import georadon.kernels as kernels
+import georadon.transforms as transforms
 from conftest import haar_single
 from georadon.dual_ops import (DualConfig, L_star, L_tilde_star, Lambda_r,
                                dual_shifted_mc, dual_shifted_mean,
                                l_star_profile, l_tilde_star_profile,
                                weighted_dual_both_sides, z_score)
-from georadon.fields import ScalarField, make_phantom
+from georadon.fields import ScalarField, make_phantom, rotate_field
 from georadon.geometry import (Geodesic, Point, Space, base_point, distance_rho,
                                g_theta, point, transport_to)
 from georadon.transforms import radon_forward
@@ -175,6 +176,30 @@ def test_l_operators_linear_in_f():
                           name="3g", center=f3.center)
     assert L_star(EU3, tripled, Point(np.zeros(3)), 0.4, CFG) == pytest.approx(
         3 * L_star(EU3, f3, Point(np.zeros(3)), 0.4, CFG), rel=1e-10)
+
+
+def test_log_reduction_product_blocks_stay_within_the_moment_rule(
+        monkeypatch):
+    # a field without a profile on R^3, k = 1: its largest product-rule
+    # block is the moment rule's 4 x 32 t-values x 2*8^2 directions x 3
+    # coordinates; the log moment, whose quadrature passes ~1,600 nodes per
+    # call, must take its means in blocks no larger
+    space = Space("euclidean", 3, 1)
+    cfg = DualConfig(quad_nodes=32, mean_polar=8)
+    f = rotate_field(space, make_phantom(space, "gaussian",
+                                         center=[0.2, -0.1, 0.3]),
+                     haar_single(3, np.random.default_rng(2)))
+    assert f.zonal is None
+    x, rs = Point(np.array([0.1, 0.0, -0.2])), np.linspace(0.0, 0.3, 4)
+    stats = {}
+    free = l_tilde_star_profile(space, f, x, rs, cfg, log_stats=stats)
+    assert stats["nodes"] in (48, 96)
+    largest = 8 * (4 * 32) * (2 * 8 ** 2) * 3
+    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", largest)
+    assert np.array_equal(l_tilde_star_profile(space, f, x, rs, cfg), free)
+    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", largest - 1)
+    with pytest.raises(ValueError, match="128 t-values x 128 directions"):
+        l_tilde_star_profile(space, f, x, rs, cfg)
 
 
 def test_profiles_match_single_values():

@@ -6,8 +6,10 @@ import pytest
 from georadon.dual_ops import DualConfig
 from georadon.fields import make_phantom
 from georadon.geometry import Point, Space, base_point, point
+import georadon.inversion as inversion
 from georadon.inversion import (GridSpec, invert_mader, invert_shifted_dual,
-                                mader_classical, mader_radial_average)
+                                mader_classical, mader_radial_average,
+                                tabulate_radial_average)
 
 CFG = DualConfig(quad_nodes=96)
 
@@ -180,6 +182,95 @@ def test_classical_linearity():
     r1 = mader_classical(2, g, np.zeros(2), grid=GridSpec(j_max=12))
     r2 = mader_classical(2, g2, np.zeros(2), grid=GridSpec(j_max=12))
     assert r2.estimate == pytest.approx(2.0 * r1.estimate, rel=1e-9)
+
+
+def _gaussian_data(n, center):
+    # the hyperplane transform of exp(-|y - c|^2)
+    amp = math.pi ** ((n - 1) / 2.0)
+    return lambda dirs, s: amp * np.exp(-(s - dirs @ center) ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tabulated_radial_average_matches_direct(n):
+    rng = np.random.default_rng(11)
+    g = _gaussian_data(n, rng.uniform(-0.5, 0.5, n))
+    x = rng.uniform(-0.3, 0.3, n)
+    table = tabulate_radial_average(n, g, x)
+    assert table.points == 129
+    assert table.tail <= 1e-14
+    s = rng.uniform(-inversion.S_CAP, inversion.S_CAP, 200)
+    direct = mader_radial_average(n, g, x, s)
+    scale = np.max(np.abs(mader_radial_average(
+        n, g, x, np.linspace(-inversion.S_CAP, inversion.S_CAP, 401))))
+    assert np.max(np.abs(table(s) - direct)) <= 1e-13 * scale
+
+
+def test_tabulation_refuses_unresolved_data():
+    # a 0.01-wide bump on [-8, 8] needs far more than 513 Chebyshev points
+    g = lambda th, s: np.exp(-(s / 0.01) ** 2)
+    with pytest.raises(ValueError, match=r"not resolved by 513 Chebyshev "
+                                         r"points.*trailing coefficients are"):
+        tabulate_radial_average(2, g, np.zeros(2))
+    with pytest.raises(ValueError, match="not resolved by 513"):
+        mader_classical(2, g, np.zeros(2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classical_averages_directions_once(monkeypatch, n):
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(np.size(args[3]))
+        return mader_radial_average(*args, **kwargs)
+    monkeypatch.setattr(inversion, "mader_radial_average", counted)
+    c, x = np.linspace(0.2, -0.1, n), np.linspace(0.1, 0.0, n)
+    rep = mader_classical(n, _gaussian_data(n, c), x,
+                          truth=math.exp(-float((x - c) @ (x - c))))
+    assert rep.rel_error < 1e-5
+    # 65 points, then the 64 new points of the 129-point level
+    assert seen == [65, 64]
+    assert rep.diagnostics["chebyshev_points"] == 129
+    assert rep.diagnostics["chebyshev_tail"] <= 1e-14
+    if n % 2 == 0:
+        assert rep.diagnostics["log_nodes"] in (48, 96)
+        assert rep.diagnostics["log_delta"] <= 1e-11
+    else:
+        assert "log_nodes" not in rep.diagnostics
+
+
+def test_classical_r4_default_settings_in_row_blocks(monkeypatch):
+    # 2 * 64^3 directions per s-value: the tabulation takes the Chebyshev
+    # points a few rows at a time
+    n, rows = 4, []
+
+    def counted(*args, **kwargs):
+        rows.append(np.size(args[3]))
+        return mader_radial_average(*args, **kwargs)
+    monkeypatch.setattr(inversion, "mader_radial_average", counted)
+    x = np.array([0.2, 0.1, 0.0, 0.0])
+    rep = mader_classical(n, _gaussian_data(n, np.zeros(n)), x,
+                          truth=math.exp(-0.05))
+    assert rep.rel_error < 1e-5
+    assert sum(rows) == rep.diagnostics["chebyshev_points"]
+    assert 8 * 2 * 64 ** 3 * max(rows) <= inversion._AVERAGE_BLOCK_BYTES
+
+
+def test_classical_r5_refused_by_memory_guard():
+    # one s-value over 2 * 64^4 directions is refused before allocation
+    with pytest.raises(ValueError, match="smaller polar_nodes"):
+        mader_classical(5, _gaussian_data(5, np.zeros(5)), np.zeros(5))
+
+
+def test_log_pipeline_records_quadrature_level():
+    space = Space("euclidean", 2, 1)
+    rep = invert_mader(space, make_phantom(space, "gaussian"),
+                       Point(np.array([0.3, 0.1])), CFG)
+    assert rep.diagnostics["log_nodes"] in (48, 96)
+    assert rep.diagnostics["log_delta"] <= 1e-11
+    sgn = invert_mader(Space("euclidean", 3, 2),
+                       make_phantom(Space("euclidean", 3, 2), "gaussian"),
+                       Point(np.zeros(3)), CFG)
+    assert sgn.diagnostics == {}
 
 
 def test_report_fields():

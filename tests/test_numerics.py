@@ -65,6 +65,43 @@ def test_log_singular_with_sqrt_weight():
     assert got == pytest.approx(-math.pi / 2 * (math.log(2) + 0.5), abs=1e-10)
 
 
+def _counting(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+    return counted, calls
+
+
+@pytest.mark.parametrize("omega,nodes", [(1.0, 48), (150.0, 96)])
+def test_log_singular_sums_each_half_in_one_call(omega, nodes):
+    # two halves per level, three levels at most: the finer oscillation
+    # takes the 96-node level
+    f, calls = _counting(lambda x: np.cos(omega * x) * np.log(np.abs(x - 0.2)))
+    stats = {}
+    quad_log_singular(f, -1.0, 1.0, s=0.2, stats=stats)
+    assert len(calls) == (4 if nodes == 48 else 6)
+    assert stats["nodes"] == nodes
+    assert 0.0 <= stats["delta"] <= 1e-11
+
+
+def test_log_singular_failure_makes_at_most_six_calls():
+    f, calls = _counting(lambda x: np.cos(300.0 * x) * np.log(np.abs(x - 0.2)))
+    with pytest.raises(ValueError, match="did not converge"):
+        quad_log_singular(f, -1.0, 1.0, s=0.2)
+    assert len(calls) == 6
+
+
+def test_log_singular_endpoint_skips_the_empty_half():
+    f, calls = _counting(np.log)
+    stats = {}
+    assert quad_log_singular(f, 0.0, 1.0, s=0.0, stats=stats) == \
+        pytest.approx(-1.0, abs=1e-10)
+    assert len(calls) == 2
+    assert stats["nodes"] == 48
+
+
 def test_log_singular_rejects_outside_point():
     with pytest.raises(ValueError):
         quad_log_singular(np.log, 0.0, 1.0, s=2.0)
