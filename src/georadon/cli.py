@@ -198,7 +198,7 @@ def cmd_invert(args) -> int:
                 "--quad-nodes does not apply to --theorem mader on even n, "
                 "whose log-kernel integrals use a fixed 24/48/96-node ladder")
         amp = math.pi ** ((n - 1) / 2.0)
-        center = f.center
+        center = f.zonal[0]
 
         def g(dirs, s):
             return amp * np.exp(-(s - dirs @ center) ** 2)

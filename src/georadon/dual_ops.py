@@ -19,9 +19,9 @@ import numpy as np
 from .constants import _sign, c_k_value, theta_poly_coeffs, theta_sinh
 from .fields import ScalarField
 from .geometry import (Geodesic, Point, Space, _geodesic_frames,
-                       _haar_from_normals, base_point, center_distance,
-                       check_distance, distance_rho, geodesics_at_distance,
-                       haar_orthogonal, haar_stabilizer, point, sphere_area)
+                       _haar_from_normals, center_distance, check_distance,
+                       distance_rho, geodesics_at_distance, haar_orthogonal,
+                       haar_stabilizer, point, sphere_area)
 from .kernels import psi_poly_coeffs
 from .numerics import gl_nodes, quad_log_singular
 from .transforms import radon_forward, spherical_mean, tilde_mean
@@ -33,8 +33,6 @@ __all__ = [
     "dual_shifted_mc",
     "dual_shifted_mean",
     "weighted_dual_both_sides",
-    "L_star",
-    "L_tilde_star",
     "l_star_profile",
     "l_tilde_star_profile",
     "Lambda_r",
@@ -46,9 +44,8 @@ __all__ = [
 class DualConfig:
     """Numeric settings for the dual-transform machinery.
 
-    mean_polar is the node count p of `spherical_mean`: p Gauss-Gegenbauer
-    nodes for a field with a zonal profile, in any dimension, and p polar
-    nodes per angle, 2 p^(n-1) directions, of the product rule otherwise.
+    mean_polar is the node count p of `spherical_mean`: the mean of a
+    field's profile over p Gauss-Gegenbauer nodes, in any dimension.
     """
 
     mc_samples: int = 4000
@@ -112,8 +109,8 @@ def _radial_cap(space: Space, f: ScalarField, x: Point, cfg: DualConfig) -> floa
     if cfg.truncation is not None:
         return min(cfg.truncation, diameter)
     if math.isfinite(f.decay_scale):
-        c = f.center if f.center is not None else base_point(space).coords
-        return min(f.decay_scale + center_distance(space, x.coords, c) + 0.25,
+        return min(f.decay_scale
+                   + center_distance(space, x.coords, f.zonal[0]) + 0.25,
                    diameter)
     if math.isfinite(diameter):
         return diameter
@@ -189,20 +186,9 @@ class _Reduction:
         self.tilde = lambda ts: tilde_mean(space, f, x, ts, cfg.mean_polar)
         self.log_moment = None
         if need_log_moment:
-            # the log quadrature passes all nodes of a side at once; a field
-            # without a profile takes its product-rule means there in blocks
-            # no larger than the moment rule's
-            rows = rho.size if f.zonal is None else None
-
             def integrand(rho):
                 sn = model.sn(rho)
-                ts = model.mean_t(rho)
-                if rows is None:
-                    means = mt(ts)
-                else:
-                    means = np.concatenate([mt(ts[i:i + rows])
-                                            for i in range(0, ts.size, rows)])
-                return means * sn ** k * np.log(sn)
+                return mt(model.mean_t(rho)) * sn ** k * np.log(sn)
             self.log_moment = quad_log_singular(integrand, 0.0, hi, s=0.0,
                                                 stats=log_stats)
 
@@ -253,11 +239,6 @@ def l_star_profile(space: Space, f: ScalarField, x: Point, rs,
     return out
 
 
-def L_star(space: Space, f: ScalarField, x: Point, r: float,
-           cfg: DualConfig | None = None) -> float:
-    return float(l_star_profile(space, f, x, [r], cfg)[0])
-
-
 def l_tilde_star_profile(space: Space, f: ScalarField, x: Point, rs,
                          cfg: DualConfig | None = None,
                          log_stats: dict | None = None) -> np.ndarray:
@@ -284,11 +265,6 @@ def l_tilde_star_profile(space: Space, f: ScalarField, x: Point, rs,
         b_term += math.pi * sign * red.cusp_odd(r)
         out[i] = red.pref * (a_term + b_term)
     return out
-
-
-def L_tilde_star(space: Space, f: ScalarField, x: Point, r: float,
-                 cfg: DualConfig | None = None) -> float:
-    return float(l_tilde_star_profile(space, f, x, [r], cfg)[0])
 
 
 def Lambda_r(space: Space, f: ScalarField, x: Point, r: float, k: int,

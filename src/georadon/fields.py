@@ -16,23 +16,20 @@ __all__ = ["ScalarField", "PHANTOMS", "make_phantom", "rotate_field",
 
 @dataclass
 class ScalarField:
-    """A smooth test function f with the metadata quadratures need.
+    """A smooth test function f with its zonal profile (a, h).
 
+    f(y) = h(q(y)) for q(y) = |y - a|^2 on R^n, y . a on S^n and [y, a] on
+    H^n; `spherical_mean` and `radon_forward` integrate h in one dimension.
     evaluator maps an (..., dim) array of ambient coordinates to values.
-    decay_scale is the (geodesic) radius around `center` beyond which
-    |f| < 1e-14; infinite for fields without decay.
-
-    zonal, when set, is a profile (a, h) with f(y) = h(q(y)) for
-    q(y) = |y - a|^2 on R^n, y . a on S^n and [y, a] on H^n; `spherical_mean`
-    then averages h over a one-dimensional rule. Fields without it, such as
-    `rotate_field` output, are averaged over the product rule.
+    decay_scale is the (geodesic) radius around the axis a beyond which
+    |f| < 1e-14; infinite for fields without decay. `zonal_field` builds
+    every field.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     decay_scale: float
+    zonal: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
     name: str = ""
-    center: np.ndarray | None = None
-    zonal: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(pts, dtype=float))
@@ -43,11 +40,11 @@ class ScalarField:
 
 def zonal_field(space: Space, a, h: Callable[[np.ndarray], np.ndarray],
                 decay_scale: float, name: str) -> ScalarField:
-    """The field f(y) = h(q(y)) with its zonal profile (a, h) and center a:
+    """The field f(y) = h(q(y)) with its zonal profile (a, h):
     q(y) = |y - a|^2 on R^n and `Curvature.form`(y, a) on S^n and H^n."""
     a = np.array(a, dtype=float)
     if a.shape != (space.ambient_dim,):
-        raise ValueError(f"{name} center has the wrong dimension")
+        raise ValueError(f"{name} axis has the wrong dimension")
     if space.is_euclidean:
         def q(pts):
             d = pts - a
@@ -58,8 +55,7 @@ def zonal_field(space: Space, a, h: Callable[[np.ndarray], np.ndarray],
 
         def q(pts):
             return form(pts, a)
-    return ScalarField(lambda pts: h(q(pts)), decay_scale, name=name,
-                       center=a, zonal=(a, h))
+    return ScalarField(lambda pts: h(q(pts)), decay_scale, (a, h), name)
 
 
 def _gaussian(space: Space, center=None) -> ScalarField:
@@ -111,16 +107,23 @@ def make_phantom(space: Space, name: str, **params) -> ScalarField:
 
 
 def rotate_field(space: Space, f: ScalarField, matrix: np.ndarray) -> ScalarField:
-    """The pullback f o R (evaluates f at R y); center moves to R^-1 center.
-    The result has no zonal profile: a pullback by an arbitrary matrix need
-    not be zonal."""
+    """The pullback f o R by an isometry R of the model: an orthogonal matrix
+    on R^n and S^n, a Lorentz one that keeps the upper sheet on H^n. Then
+    q(R y) about a is q(y) about R^-1 a, so the result is the zonal field of
+    the same h about R^-1 a. Any other matrix is refused."""
     m = np.asarray(matrix, dtype=float)
-
-    def ev(pts):
-        return f.evaluator(pts @ m.T)
-
-    center = None
-    if f.center is not None:
-        center = np.linalg.solve(m, f.center)
-    return ScalarField(ev, decay_scale=f.decay_scale, name=f.name + "|rot",
-                       center=center)
+    dim = space.ambient_dim
+    if m.shape != (dim, dim):
+        raise ValueError(
+            f"rotation has shape {m.shape}, expected ({dim}, {dim})")
+    form = np.eye(dim) if space.is_euclidean else \
+        np.diag(space.curvature.signature(dim))
+    err = float(np.max(np.abs(m.T @ form @ m - form)))
+    if err > 1e-8 * max(1.0, float(np.max(np.abs(m)))) ** 2 or \
+            (space.is_hyperbolic and m[-1, -1] <= 0.0):
+        raise ValueError("rotate_field needs an isometry of the model (R^T J R"
+                         " = J, and on H^n R keeps the upper sheet); "
+                         f"|R^T J R - J| reaches {err:.3e}")
+    axis, h = f.zonal
+    return zonal_field(space, np.linalg.solve(m, axis), h, f.decay_scale,
+                       f.name + "|rot")

@@ -40,7 +40,6 @@ __all__ = [
     "transport_to",
     "geodesic_at_distance",
     "geodesics_at_distance",
-    "rotate_point",
     "rotate_geodesic",
 ]
 
@@ -454,10 +453,6 @@ def _geodesic_frames(space: Space, x: Point, theta: float, g: np.ndarray):
         return m[..., :k + 1], None
     m = transport_to(space, x) @ g @ g_theta(space, -theta)
     return m[..., n - k:], None
-
-
-def rotate_point(space: Space, m: np.ndarray, x: Point) -> Point:
-    return Point(m @ x.coords)
 
 
 def rotate_geodesic(space: Space, m: np.ndarray, xi: Geodesic) -> Geodesic:

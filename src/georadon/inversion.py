@@ -16,8 +16,7 @@ from .dual_ops import (DualConfig, dual_shifted_mean, l_star_profile,
 from .fields import ScalarField
 from .geometry import Point, Space
 from .numerics import RadialProfile, endpoint_derivative, gl_nodes, \
-    quad_log_singular
-from .transforms import bounded_sphere_rule
+    quad_log_singular, sphere_rule
 
 __all__ = [
     "GridSpec",
@@ -44,6 +43,9 @@ _CHEB_TOL = 1e-14
 # one direction-average call of the tabulation covers at most this many
 # bytes of data values (s-values x directions)
 _AVERAGE_BLOCK_BYTES = 1 << 23
+# refuse a direction average whose `sphere_rule`, or whose block of data
+# values over it, would exceed this many bytes
+MEAN_BLOCK_BYTES = 1 << 30
 
 
 @dataclass
@@ -149,13 +151,24 @@ def mader_radial_average(n: int, g, x: np.ndarray, s, polar_nodes: int = 64):
 
     g must broadcast over a trailing stack of directions: it is called as
     g(dirs, svals) with dirs of shape (N, n) and svals of shape (..., N).
-    Vectorized over a 1-d array of s values.
+    Vectorized over a 1-d array of s values. The rule's 2 polar_nodes^(n-1)
+    directions with their weights, and the s-values x directions block of
+    data values over them, are refused before either is allocated when one
+    exceeds MEAN_BLOCK_BYTES.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     scalar_in = np.ndim(s) == 0
     x = np.asarray(x, dtype=float)
-    dirs, w = bounded_sphere_rule(n - 1, polar_nodes, s_arr.size, "s-values",
-                                  1, "polar_nodes")
+    n_dirs = 2 * polar_nodes ** (n - 1)
+    rule_bytes, block_bytes = 8 * n_dirs * (n + 1), 8 * n_dirs * s_arr.size
+    if max(rule_bytes, block_bytes) > MEAN_BLOCK_BYTES:
+        raise ValueError(
+            f"the rule of {n_dirs} directions needs {rule_bytes / 2 ** 30:.2f}"
+            f" GiB and its block of {s_arr.size} s-values "
+            f"{block_bytes / 2 ** 30:.2f} GiB, over "
+            f"{MEAN_BLOCK_BYTES / 2 ** 30:.2f} GiB; use a smaller polar_nodes "
+            f"than {polar_nodes}")
+    dirs, w = sphere_rule(n - 1, polar_nodes)
     shifted = s_arr[:, None] + dirs @ x
     vals = g(dirs[None, :, :], shifted) @ w / sphere_area(n - 1)
     return float(vals[0]) if scalar_in else vals
@@ -195,7 +208,7 @@ def tabulate_radial_average(n: int, g, x: np.ndarray,
     reusing the values of the last, until the trailing quarter of its
     coefficients falls below 1e-14 of its largest value. The points go to
     `mader_radial_average` in blocks of at most 8 MiB of data values, so
-    memory stays bounded in any n the product rule's guard admits. Raises
+    memory stays bounded in any n its guard admits. Raises
     ValueError when 513 points do not resolve G.
     """
     n_dirs = 2 * polar_nodes ** (n - 1)

@@ -87,6 +87,21 @@ def test_invert_mader_refuses_quad_nodes_on_even_n():
     assert "--quad-nodes" in proc.stderr
 
 
+def test_invert_mader_r5_names_rule_and_block_sizes(capsys):
+    # 2 * 64^4 directions: the rule with its weights is 6 x 8 bytes each,
+    # 1.50 GiB; the tabulation's block of one s-value is 0.25 GiB
+    import georadon.cli as cli
+
+    rc = cli.main(["invert", "--space", "euclidean", "--n", "5", "--k", "3",
+                   "--theorem", "mader", "--phantom", "gaussian", "--point",
+                   "0.2,0.1,0,0,0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rule of 33554432 directions needs 1.50 GiB" in captured.err
+    assert "block of 1 s-values 0.25 GiB" in captured.err
+
+
 def test_invert_theorem2_parity_guard():
     run_cli("invert", "--space", "euclidean", "--n", "2", "--k", "1",
             "--theorem", "2", "--phantom", "gaussian", "--point", "0,0",

@@ -6,13 +6,12 @@ from scipy.integrate import quad
 
 import georadon.dual_ops as dual_ops
 import georadon.kernels as kernels
-import georadon.transforms as transforms
 from conftest import haar_single
-from georadon.dual_ops import (DualConfig, L_star, L_tilde_star, Lambda_r,
-                               dual_shifted_mc, dual_shifted_mean,
-                               l_star_profile, l_tilde_star_profile,
-                               weighted_dual_both_sides, z_score)
-from georadon.fields import ScalarField, make_phantom, rotate_field
+from georadon.dual_ops import (DualConfig, Lambda_r, dual_shifted_mc,
+                               dual_shifted_mean, l_star_profile,
+                               l_tilde_star_profile, weighted_dual_both_sides,
+                               z_score)
+from georadon.fields import make_phantom, zonal_field
 from georadon.geometry import (Geodesic, Point, Space, base_point, distance_rho,
                                g_theta, point, transport_to)
 from georadon.transforms import radon_forward
@@ -99,10 +98,10 @@ def test_z_score_rule():
 
 def test_dual_mean_sphere_non_even_field():
     # the reduction integrates over the whole great circle, so a field with
-    # no antipodal symmetry matches the Monte Carlo average
+    # no antipodal symmetry matches the Monte Carlo average:
+    # exp(-4|p - c|^2) = h(p . c) with h(q) = exp(8q - 8) on S^2
     c = np.array([0.6, 0.0, 0.8])
-    f = ScalarField(lambda p: np.exp(-4.0 * np.sum((p - c) ** 2, axis=-1)),
-                    math.pi, name="bump", center=c)
+    f = zonal_field(SP2, c, lambda q: np.exp(8.0 * q - 8.0), math.pi, "bump")
     x = point(SP2, [0.0, 0.6, 0.8])
     cfg = DualConfig(mc_samples=4000, seed=3, forward_nodes=48, quad_nodes=64)
     mc = dual_shifted_mc(SP2, lambda xi: radon_forward(SP2, f, xi, nodes=48),
@@ -123,12 +122,13 @@ def test_l_star_euclidean_closed_chain():
     for r in (0.1, 0.5, 1.0):
         head = quad(lambda t: math.exp(-t * t) * t * t, 0, r)[0]
         expect = 4 * math.pi * (total - 2 * head - r * math.exp(-r * r))
-        assert L_star(EU3, f, x, r, CFG) == pytest.approx(expect, abs=1e-8)
+        assert l_star_profile(EU3, f, x, r, CFG)[0] == pytest.approx(
+            expect, abs=1e-8)
 
 
 def test_l_star_r_zero_finite():
     f = make_phantom(EU3, "gaussian")
-    val = L_star(EU3, f, Point(np.zeros(3)), 0.0, CFG)
+    val = l_star_profile(EU3, f, Point(np.zeros(3)), 0.0, CFG)[0]
     total = quad(lambda t: math.exp(-t * t) * t * t, 0, 12)[0]
     assert val == pytest.approx(4 * math.pi * total, abs=1e-9)
 
@@ -136,10 +136,10 @@ def test_l_star_r_zero_finite():
 def test_l_star_parity_requirements():
     f = make_phantom(EU3, "gaussian")
     with pytest.raises(ValueError):
-        L_tilde_star(EU3, f, Point(np.zeros(3)), 0.2, CFG)
+        l_tilde_star_profile(EU3, f, Point(np.zeros(3)), 0.2, CFG)[0]
     f2 = make_phantom(EU2, "gaussian")
     with pytest.raises(ValueError):
-        L_star(EU2, f2, Point(np.zeros(2)), 0.2, CFG)
+        l_star_profile(EU2, f2, Point(np.zeros(2)), 0.2, CFG)[0]
 
 
 def test_l_tilde_two_routes_agree():
@@ -159,47 +159,27 @@ def test_l_tilde_two_routes_agree():
         b_term += quad(lambda t: mt(t) * t * kernels.psi_k_closed(1, r / t),
                        r, 10, limit=300)[0]
         expect = 4.0 * (a_term + b_term)
-        assert L_tilde_star(EU2, f, x, r, CFG) == pytest.approx(expect,
-                                                                abs=1e-7)
+        assert l_tilde_star_profile(EU2, f, x, r, CFG)[0] == pytest.approx(
+            expect, abs=1e-7)
 
 
 def test_l_operators_linear_in_f():
     f = make_phantom(EU2, "gaussian")
-    doubled = ScalarField(lambda p: 2.0 * f.evaluator(p), f.decay_scale,
-                          name="2g", center=f.center)
+    axis, h = f.zonal
+    doubled = zonal_field(EU2, axis, lambda q: 2.0 * h(q), f.decay_scale,
+                          "2g")
     x = Point(np.zeros(2))
     for r in (0.0, 0.3):
-        assert L_tilde_star(EU2, doubled, x, r, CFG) == pytest.approx(
-            2 * L_tilde_star(EU2, f, x, r, CFG), rel=1e-10)
+        assert l_tilde_star_profile(EU2, doubled, x, r, CFG)[0] == \
+            pytest.approx(2 * l_tilde_star_profile(EU2, f, x, r, CFG)[0],
+                          rel=1e-10)
     f3 = make_phantom(EU3, "gaussian")
-    tripled = ScalarField(lambda p: 3.0 * f3.evaluator(p), f3.decay_scale,
-                          name="3g", center=f3.center)
-    assert L_star(EU3, tripled, Point(np.zeros(3)), 0.4, CFG) == pytest.approx(
-        3 * L_star(EU3, f3, Point(np.zeros(3)), 0.4, CFG), rel=1e-10)
-
-
-def test_log_reduction_product_blocks_stay_within_the_moment_rule(
-        monkeypatch):
-    # a field without a profile on R^3, k = 1: its largest product-rule
-    # block is the moment rule's 4 x 32 t-values x 2*8^2 directions x 3
-    # coordinates; the log moment, whose quadrature passes ~1,600 nodes per
-    # call, must take its means in blocks no larger
-    space = Space("euclidean", 3, 1)
-    cfg = DualConfig(quad_nodes=32, mean_polar=8)
-    f = rotate_field(space, make_phantom(space, "gaussian",
-                                         center=[0.2, -0.1, 0.3]),
-                     haar_single(3, np.random.default_rng(2)))
-    assert f.zonal is None
-    x, rs = Point(np.array([0.1, 0.0, -0.2])), np.linspace(0.0, 0.3, 4)
-    stats = {}
-    free = l_tilde_star_profile(space, f, x, rs, cfg, log_stats=stats)
-    assert stats["nodes"] in (48, 96)
-    largest = 8 * (4 * 32) * (2 * 8 ** 2) * 3
-    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", largest)
-    assert np.array_equal(l_tilde_star_profile(space, f, x, rs, cfg), free)
-    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", largest - 1)
-    with pytest.raises(ValueError, match="128 t-values x 128 directions"):
-        l_tilde_star_profile(space, f, x, rs, cfg)
+    axis3, h3 = f3.zonal
+    tripled = zonal_field(EU3, axis3, lambda q: 3.0 * h3(q), f3.decay_scale,
+                          "3g")
+    origin = Point(np.zeros(3))
+    assert l_star_profile(EU3, tripled, origin, 0.4, CFG)[0] == pytest.approx(
+        3 * l_star_profile(EU3, f3, origin, 0.4, CFG)[0], rel=1e-10)
 
 
 def test_profiles_match_single_values():
@@ -208,7 +188,8 @@ def test_profiles_match_single_values():
     rs = np.array([0.0, 0.2, 0.4])
     prof = l_star_profile(EU3, f, x, rs, CFG)
     for r, v in zip(rs, prof):
-        assert L_star(EU3, f, x, float(r), CFG) == pytest.approx(float(v))
+        assert l_star_profile(EU3, f, x, float(r), CFG)[0] == \
+            pytest.approx(float(v))
     f2 = make_phantom(EU2, "gaussian")
     prof2 = l_tilde_star_profile(EU2, f2, Point(np.zeros(2)), rs, CFG)
     assert np.all(np.isfinite(prof2))
@@ -238,7 +219,7 @@ def test_l_tilde_sphere_two_routes_agree():
         b_term += quad(lambda t: (1 - t * t) ** -0.5 * t
                        * kernels.psi_k_closed(1, r / t), r, 1, points=[1],
                        limit=300)[0]
-        got = L_tilde_star(SP2, f, x, r, CFG)
+        got = l_tilde_star_profile(SP2, f, x, r, CFG)[0]
         assert got == pytest.approx(pref * (a_term + b_term), abs=1e-7)
 
 

@@ -8,14 +8,15 @@ from scipy.integrate import quad
 import georadon.cli as cli
 from conftest import random_point
 from georadon.constants import sphere_area
-from georadon.fields import ScalarField, make_phantom, rotate_field
+from georadon.fields import make_phantom, rotate_field, zonal_field
 from georadon.geometry import (Point, Rotation, Space, base_point, g_theta,
                                geodesic, geodesic_at_distance, haar_rotation,
                                point, rotate_geodesic)
+import georadon.inversion as inversion
 from georadon.inversion import mader_radial_average
 from georadon.numerics import gl_nodes
-import georadon.transforms as transforms
 from georadon.transforms import radon_forward, spherical_mean, tilde_mean
+from product_rule import polar_forward, product_mean
 
 EU3 = Space("euclidean", 3, 2)
 EU2 = Space("euclidean", 2, 1)
@@ -108,9 +109,9 @@ def test_forward_off_centre_closed_form(kind, n, k):
 
 def test_forward_refuses_understated_decay():
     # a Gaussian declared to vanish beyond radius 1 is still e^-2.25 at the
-    # outermost radius 1.5 of the polar rule
+    # outermost radius 1.5 of the radial rule
     f = make_phantom(EU3, "gaussian")
-    short = ScalarField(f.evaluator, 1.0, center=f.center)
+    short = zonal_field(EU3, f.zonal[0], f.zonal[1], 1.0, "short")
     xi = geodesic_at_distance(EU3, Point(np.zeros(3)), 0.0,
                               Rotation(np.eye(3)))
     assert radon_forward(EU3, f, xi) == pytest.approx(math.pi, rel=1e-12)
@@ -237,23 +238,6 @@ def test_mean_profile_tilde_constant():
     assert vals == pytest.approx([1.0, 1.25], rel=1e-12)
 
 
-def test_mean_refuses_oversized_block(monkeypatch):
-    # 3 t-values x 2*8^2 directions x 4 coordinates x 8 bytes = 12,288 bytes;
-    # a field without a zonal profile takes the guarded product rule
-    f = ScalarField(make_phantom(Space("sphere", 3, 1), "even-poly").evaluator,
-                    math.pi)
-    x = point(Space("sphere", 3, 1), [0, 0, 0, 1.0])
-    ts = [0.2, 0.5, 0.9]
-    ok = spherical_mean(Space("sphere", 3, 1), f, x, ts, polar_nodes=8)
-    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", 12288)
-    assert spherical_mean(Space("sphere", 3, 1), f, x, ts, 8) == \
-        pytest.approx(ok, abs=0.0)
-    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", 12287)
-    with pytest.raises(ValueError, match=r"3 t-values x 128 directions x 4 "
-                                         r"coordinates.*smaller mean_polar"):
-        spherical_mean(Space("sphere", 3, 1), f, x, ts, polar_nodes=8)
-
-
 def _off_axis_point(space: Space):
     if space.is_euclidean:
         return Point(np.linspace(0.5, -0.3, space.n))
@@ -274,48 +258,29 @@ def _radial_average_of(s):
     return lambda: mader_radial_average(3, g, np.zeros(3), s, polar_nodes=4)
 
 
-def _forward_of(kind, n, k, phantom, **params):
-    # the phantom's evaluator without its zonal profile, which would take
-    # the one-dimensional path past the guarded product rule
-    space = Space(kind, n, k)
-    zonal = make_phantom(space, phantom, **params)
-    f = ScalarField(zonal.evaluator, zonal.decay_scale, center=zonal.center)
-    xi = geodesic_at_distance(space, _off_axis_point(space), 0.3,
-                              haar_rotation(space, 1))
-    return lambda: radon_forward(space, f, xi, nodes=8)
-
-
-# entry point, its largest float64 array in bytes (block or rule), and the
-# sizes its refusal names
+# a direction average, its largest float64 array in bytes (block or rule),
+# and the sizes its refusal names
 GUARD_CASES = [
-    # 24 radii x 2*8 directions x 3 coordinates
-    (_forward_of("euclidean", 3, 2, "gaussian"), 9216,
-     r"24 radii x 16 directions x 3 coordinates"),
-    (_forward_of("hyperbolic", 3, 2, "radial-hyperbolic", power=6), 12288,
-     r"24 radii x 16 directions x 4 coordinates"),
-    # the great 2-sphere's rule: 2*8^2 directions x 4 coordinates
-    (_forward_of("sphere", 3, 2, "even-poly"), 4096,
-     r"1 sphere x 128 directions x 4 coordinates"),
     # 5 s-values x 2*4^2 directions, one shifted s each
     (_radial_average_of(np.linspace(0.0, 1.0, 5)), 1280,
-     r"5 s-values x 32 directions x 1 coordinates"),
+     r"the rule of 32 directions needs 0\.00 GiB and its block of 5 "
+     r"s-values 0\.00 GiB"),
     # one s-value: the rule, 32 directions x (3 coordinates + weight), is
     # the larger array
     (_radial_average_of(0.5), 1024,
-     r"1 s-values x 32 directions x 1 coordinates need 0\.00 GiB.*"
+     r"the rule of 32 directions.*block of 1 s-values.*"
      r"polar_nodes than 4"),
 ]
 
 
 @pytest.mark.parametrize("call,nbytes,message", GUARD_CASES, ids=[
-    "euclidean-forward", "hyperbolic-forward", "sphere-forward",
     "radial-average-block", "radial-average-rule"])
 def test_product_rule_guard(monkeypatch, call, nbytes, message):
-    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", nbytes)
+    monkeypatch.setattr(inversion, "MEAN_BLOCK_BYTES", nbytes)
     ok = call()
     assert np.all(np.isfinite(ok))
-    monkeypatch.setattr(transforms, "MEAN_BLOCK_BYTES", nbytes - 1)
-    monkeypatch.setattr(transforms, "sphere_rule", _rule_never_built)
+    monkeypatch.setattr(inversion, "MEAN_BLOCK_BYTES", nbytes - 1)
+    monkeypatch.setattr(inversion, "sphere_rule", _rule_never_built)
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -340,10 +305,9 @@ def test_zonal_mean_matches_product_rule(kind, n, name, t_range):
     kwargs = {"center": np.linspace(-0.2, 0.3, n)} if name == "gaussian" else {}
     f = make_phantom(space, name, **kwargs)
     assert f.zonal is not None
-    plain = ScalarField(f.evaluator, f.decay_scale)
     x = _off_axis_point(space)
     ts = np.linspace(*t_range, 41)
-    oracle = spherical_mean(space, plain, x, ts, 128)
+    oracle = product_mean(space, f, x, ts, 128)
     for p in (16, 64):
         assert spherical_mean(space, f, x, ts, p) == pytest.approx(
             oracle, rel=0.0, abs=1e-12)
@@ -362,24 +326,30 @@ def test_zonal_even_poly_closed_form():
         want, rel=0.0, abs=1e-14)
 
 
-def test_rotated_field_has_no_zonal_profile():
-    f = make_phantom(EU3, "gaussian", center=[0.1, 0.0, 0.2])
-    assert f.zonal is not None
-    g = rotate_field(EU3, f, haar_rotation(EU3, 4).matrix)
-    assert g.zonal is None
-
-
-def test_mean_refuses_non_zonal_field_in_high_dimension():
-    # R^4 at the default 64 polar nodes: 2 * 64^3 = 524,288 directions
-    space = Space("euclidean", 4, 2)
-    f = make_phantom(space, "gaussian")
-    x = Point(np.zeros(4))
-    ts = np.linspace(0.0, 3.0, 384)
-    assert spherical_mean(space, f, x, ts) == pytest.approx(
-        np.exp(-ts * ts), rel=1e-12)
-    plain = rotate_field(space, f, np.eye(4))
-    with pytest.raises(ValueError, match="smaller mean_polar"):
-        spherical_mean(space, plain, x, ts)
+def test_rotated_field_keeps_its_zonal_profile(rng):
+    # the pullback by an isometry R is the same profile about R^-1 a
+    cases = [(EU3, make_phantom(EU3, "gaussian", center=[0.1, 0.0, 0.2]),
+              haar_rotation(EU3, 4).matrix, np.linspace(0.0, 3.0, 9)),
+             (SP2, make_phantom(SP2, "even-poly"),
+              haar_rotation(SP2, 5).matrix, np.linspace(-0.9, 1.0, 9)),
+             (HY2, make_phantom(HY2, "radial-hyperbolic"),
+              haar_rotation(HY2, 6).matrix @ g_theta(HY2, 0.4),
+              np.linspace(1.0, 4.0, 9))]
+    for space, f, m, ts in cases:
+        g = rotate_field(space, f, m)
+        assert np.allclose(m @ g.zonal[0], f.zonal[0], rtol=0.0, atol=1e-14)
+        ys = np.array([random_point(space, rng).coords for _ in range(20)])
+        assert g(ys) == pytest.approx(f(ys @ m.T), rel=0.0, abs=1e-12)
+        x = random_point(space, rng)
+        assert spherical_mean(space, g, x, ts) == pytest.approx(
+            spherical_mean(space, f, Point(m @ x.coords), ts), rel=0.0,
+            abs=1e-12)
+        with pytest.raises(ValueError, match="isometry"):
+            rotate_field(space, f, np.diag([2.0, 1.0, 1.0]))
+    # a Lorentz matrix that swaps the sheets of the hyperboloid
+    with pytest.raises(ValueError, match="upper sheet"):
+        rotate_field(HY2, make_phantom(HY2, "radial-hyperbolic"),
+                     np.diag([1.0, 1.0, -1.0]))
 
 
 def test_euclidean_polar_consistency():
@@ -422,11 +392,10 @@ def test_zonal_forward_matches_polar_integrator(kind, n, k):
     # the one-dimensional path against the product rule on the same evaluator
     space = Space(kind, n, k)
     f = _phantom_for(space)
-    plain = ScalarField(f.evaluator, f.decay_scale, center=f.center)
     x = _off_axis_point(space)
     for seed, r in ((11, 0.25), (12, 0.6)):
         xi = geodesic_at_distance(space, x, r, haar_rotation(space, seed))
-        want = radon_forward(space, plain, xi, nodes=48)
+        want = polar_forward(space, f, xi, nodes=48)
         got = radon_forward(space, f, xi, nodes=48)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -492,22 +461,19 @@ def test_zonal_forward_k4_hyperbolic():
         assert abs(got - head) <= 1e-12 * head
 
 
-def test_zonal_sphere_forward_past_zonal_rule_takes_product_rule():
-    # past the zonal rule's order a zonal field takes the product rule, as a
-    # field without a profile does: S^2 k=1 at 600 nodes is 1200 azimuth
-    # points, while on S^3 k=2 the product rule's polar Gauss-Legendre order
-    # is refused
-    for space, nodes in ((Space("sphere", 2, 1), 600),
-                         (Space("sphere", 3, 2), 512)):
-        f = make_phantom(space, "even-poly")
-        plain = ScalarField(f.evaluator, f.decay_scale, center=f.center)
-        xi = geodesic(space, np.eye(space.n + 1)[:, :space.k + 1])
-        want = _even_poly_closed(space, xi)
-        assert radon_forward(space, f, xi, nodes=nodes) == pytest.approx(
-            want, rel=1e-12)
-        if nodes > 512:
-            assert radon_forward(space, f, xi, nodes=nodes) == \
-                radon_forward(space, plain, xi, nodes=nodes)
-    with pytest.raises(ValueError, match=r"gauss_legendre order must be in "
+def test_sphere_forward_refuses_nodes_past_zonal_rule(capsys):
+    # the zonal rule stops at order 512 on S^n, as the radial rule does on
+    # R^n and H^n: `forward --quad-nodes 600` exits 1 and names the cap
+    space = Space("sphere", 3, 2)
+    f = make_phantom(space, "even-poly")
+    xi = geodesic(space, np.eye(space.n + 1)[:, :space.k + 1])
+    assert radon_forward(space, f, xi, nodes=512) == pytest.approx(
+        _even_poly_closed(space, xi), rel=1e-12)
+    with pytest.raises(ValueError, match=r"zonal rule order must be in "
                                          r"\[1, 512\], got 513"):
         radon_forward(space, f, xi, nodes=513)
+    argv = ["forward", "--space", "sphere", "--n", "2", "--k", "1",
+            "--phantom", "even-poly", "--quad-nodes", "600"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == \
+        "error: zonal rule order must be in [1, 512], got 600\n"
