@@ -18,13 +18,14 @@ import numpy as np
 
 from .constants import _sign, c_k_value, theta_poly_coeffs, theta_sinh
 from .fields import ScalarField
-from .geometry import (Geodesic, Point, Space, _geodesic_frames,
-                       _haar_from_normals, center_distance, check_distance,
-                       distance_rho, geodesics_at_distance, haar_orthogonal,
-                       haar_stabilizer, point, sphere_area)
+from .geometry import (Geodesic, Point, Space, _distances_rho,
+                       _embed_stabilizer, _haar_from_normals, _rowdot,
+                       center_distance, check_distance, g_theta,
+                       geodesics_at_distance, haar_orthogonal, haar_stabilizer,
+                       point, sphere_area, transport_to)
 from .kernels import psi_poly_coeffs
 from .numerics import gl_nodes, quad_log_singular
-from .transforms import radon_forward, spherical_mean, tilde_mean
+from .transforms import _zonal_forwards, spherical_mean, tilde_mean
 
 __all__ = [
     "DualConfig",
@@ -73,10 +74,13 @@ class BothSides(NamedTuple):
     rhs: float
 
 
-# Monte Carlo draws are built this many at a time, so their rotation stacks
-# and geodesics take bounded memory at any sample count; consecutive blocks
-# consume the generator's stream as one stack of all the draws would
-MC_BLOCK = 4096
+# Monte Carlo draws are built this many at a time, so their rotation stacks,
+# geodesics and the weighted dual's point stacks (MC_BLOCK x 3 forward_nodes
+# rows) take bounded memory at any sample count; consecutive blocks consume
+# the generator's stream as one stack of all the draws would. 512, not 4096:
+# 4096-draw point stacks raised the mc_dual benchmark's peak RSS from
+# 113.9 MB to 127.7 MB.
+MC_BLOCK = 512
 
 
 def _blocks(total: int):
@@ -296,17 +300,17 @@ def _euclidean_draws(space: Space):
         normals = rng.standard_normal((count, n * n + d))
         qs = _haar_from_normals(normals[:, :n * n].reshape(count, n, n))
         zs = _PROPOSAL_STD * normals[:, n * n:]
-        return [(Geodesic(q[:, :k], q[:, k:] @ z),
-                 math.exp(0.5 * float(z @ z) / _PROPOSAL_STD ** 2 - log_norm))
-                for q, z in zip(qs, zs)]
+        log_w = 0.5 * _rowdot(zs, zs) / _PROPOSAL_STD ** 2 - log_norm
+        return (qs[..., :k], (qs[..., k:] @ zs[..., None])[..., 0],
+                np.array([math.exp(v) for v in log_w.tolist()]))
     return draws
 
 
 def _sphere_draws(space: Space):
     # normalized invariant measure on the compact submanifold space
     def draws(rng, count):
-        return [(Geodesic(q[:, :space.k + 1], None), 1.0)
-                for q in haar_orthogonal(space.n + 1, rng, count)]
+        return (haar_orthogonal(space.n + 1, rng, count)[..., :space.k + 1],
+                None, np.ones(count))
     return draws
 
 
@@ -314,7 +318,9 @@ def _hyperbolic_draws(space: Space, x: Point, theta_max: float):
     # invariant measure written around a fixed auxiliary point z != x, with
     # the rapidity density as importance weight; independent of the
     # distance-to-x disintegration under test. Each draw takes its rapidity
-    # before its rotation from one stream, so the draws stay sequential.
+    # before the normals of its rotation from one stream, so the draws stay
+    # sequential; the QR and the frames of `_geodesic_frames` about z are
+    # then built for the whole stack.
     n, k = space.n, space.k
     # the anchor lies at distance 0.8 from the base point, or 1.3 if x is there
     for anchor_dist in (0.8, 1.3):
@@ -322,18 +328,21 @@ def _hyperbolic_draws(space: Space, x: Point, theta_max: float):
         z[0], z[-1] = math.sinh(anchor_dist), math.cosh(anchor_dist)
         if not np.allclose(z, x.coords, atol=1e-6):
             break
-    z = point(space, z)
+    transport = transport_to(space, point(space, z))
     sig = sphere_area(n - k - 1)
 
-    def draw(rng):
-        th = theta_max * rng.random()
-        basis, _ = _geodesic_frames(space, z, th,
-                                    haar_stabilizer(space, rng).matrix)
-        nu = math.sinh(th) ** (n - k - 1) * math.cosh(th) ** k
-        return Geodesic(basis, None), sig * theta_max * nu
-
     def draws(rng, count):
-        return [draw(rng) for _ in range(count)]
+        normals = np.empty((count, n, n))
+        boosts = np.empty((count, n + 1, n + 1))
+        weights = np.empty(count)
+        for i in range(count):
+            th = theta_max * rng.random()
+            normals[i] = rng.standard_normal((n, n))
+            boosts[i] = g_theta(space, -th)
+            nu = math.sinh(th) ** (n - k - 1) * math.cosh(th) ** k
+            weights[i] = sig * theta_max * nu
+        g = _embed_stabilizer(space, _haar_from_normals(normals))
+        return (transport @ g @ boosts)[..., n - k:], None, weights
     return draws
 
 
@@ -343,7 +352,11 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
     """Both sides of the weighted-dual identity for a radial weight a(rho).
 
     Left side: Monte Carlo over the submanifold space with an independent
-    sampler (never the distance-to-x disintegration). Right side: quadrature
+    sampler (never the distance-to-x disintegration). The draws come in
+    blocks of up to MC_BLOCK; each block's geodesics are (bases, offsets)
+    stacks, whose forward transforms take one `transforms._zonal_forwards`
+    call and whose distances to x one stacked product. Only the weight a is
+    called per draw, with a Python float. Right side: quadrature
     over the distance theta from x to the geodesic of
     sn^(n-k-1) cs^k a(sn) R*_sn, with sn, cs at theta. `a_breaks` lists
     discontinuities of a (as distance values) for the quadrature split.
@@ -352,7 +365,8 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
     n, k = space.n, space.k
     model = space.curvature
     hi = min(_radial_cap(space, f, x, cfg) + 1.0, model.rho_max)
-    # each sampler draws (geodesic, weight) pairs from the invariant measure
+    # each sampler draws (bases, offsets, weights) stacks from the invariant
+    # measure
     if space.is_euclidean:
         submanifold = _euclidean_draws(space)
     elif space.is_sphere:
@@ -360,10 +374,15 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
     else:
         submanifold = _hyperbolic_draws(space, x, hi)
     rng = np.random.default_rng(cfg.seed + 1)
+
+    def block(count):
+        bases, offsets, weights = submanifold(rng, count)
+        rho = _distances_rho(space, x, bases, offsets)
+        return weights \
+            * _zonal_forwards(space, f, bases, offsets, cfg.forward_nodes) \
+            * np.array([a(r) for r in rho.tolist()])
     lhs = _mc_estimate(
-        (weight * radon_forward(space, f, xi, nodes=cfg.forward_nodes)
-         * a(distance_rho(space, x, xi)) for count in _blocks(cfg.mc_samples)
-         for xi, weight in submanifold(rng, count)),
+        np.concatenate([block(count) for count in _blocks(cfg.mc_samples)]),
         cfg.mc_samples)
     edges = sorted({0.0, hi, *(float(model.asn(b)) for b in a_breaks
                                if 0.0 < b < model.sn(hi))})

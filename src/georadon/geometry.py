@@ -295,6 +295,27 @@ def distance_rho(space: Space, x: Point, xi: Geodesic) -> float:
     return math.sqrt(max(0.0, (1.0 - q) / model.kappa))
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes of two broadcastable stacks, through the
+    same matmul kernel as a @ b on one pair of vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _distances_rho(space: Space, x: Point, bases: np.ndarray,
+                   offsets: np.ndarray | None) -> np.ndarray:
+    """`distance_rho` from x to each geodesic of a stack: bases
+    (N, dim, cols) and, on R^n, offsets (N, dim); None on S^n and H^n."""
+    c = x.coords
+    bt = np.swapaxes(bases, -1, -2)
+    if space.is_euclidean:
+        diff = c - (bases @ (bt @ c)[..., None])[..., 0] - offsets
+        return np.sqrt(_rowdot(diff, diff))
+    model = space.curvature
+    comp = model.form(bt, c)
+    q = _rowdot(comp, model.signature(comp.shape[-1]) * comp)
+    return np.sqrt(np.maximum(0.0, (1.0 - q) / model.kappa))
+
+
 def center_distance(space: Space, x, y) -> float:
     """Geodesic distance between two points given by their coordinates."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -338,14 +359,20 @@ def haar_stabilizer(space: Space, rng: np.random.Generator,
                     count: int | None = None) -> Rotation:
     """Haar rotation of the stabilizer of the base point, drawn from rng; with
     count, its matrix is a stack of count rotations."""
-    n = space.n
-    q = haar_orthogonal(n, rng, count)
+    return Rotation(_embed_stabilizer(space, haar_orthogonal(space.n, rng,
+                                                            count)))
+
+
+def _embed_stabilizer(space: Space, q: np.ndarray) -> np.ndarray:
+    """SO(n) matrices q (..., n, n) as rotations of the ambient space that
+    fix the base point: q itself on R^n, the block diag(q, 1) otherwise."""
     if space.is_euclidean:
-        return Rotation(q)
+        return q
+    n = space.n
     m = np.zeros(q.shape[:-2] + (n + 1, n + 1))
     m[..., :n, :n] = q
     m[..., n, n] = 1.0
-    return Rotation(m)
+    return m
 
 
 def g_theta(space: Space, theta: float) -> np.ndarray:

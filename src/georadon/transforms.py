@@ -8,7 +8,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import Geodesic, Point, Space, check_distance, sphere_area
+from .geometry import (Geodesic, Point, Space, _rowdot, check_distance,
+                       sphere_area)
 from .numerics import gl_nodes, zonal_rule
 
 __all__ = [
@@ -174,3 +175,64 @@ def _zonal_sphere_forward(space: Space, f: ScalarField, xi: Geodesic,
     half_circle, w = _meridian_rule(space.k, nodes)
     pts = half_circle @ (np.stack([pole, side]) @ b.T)
     return sphere_area(space.k) * float(w @ f(pts))
+
+
+def _zonal_forwards(space: Space, f: ScalarField, bases: np.ndarray,
+                    offsets: np.ndarray | None, nodes: int) -> np.ndarray:
+    """`radon_forward` over a stack of geodesics: bases (N, dim, cols) and,
+    on R^n, offsets (N, dim); None on S^n and H^n.
+
+    The same one-dimensional integrals and refusals as `_zonal_ray_forward`
+    and `_zonal_sphere_forward`, row by row, with f evaluated once: on the
+    (N, 3 nodes, dim) stack of rays, or the (N, nodes, dim) stack of
+    meridians on S^n. A stack holding one refused geodesic is refused.
+    """
+    axis = f.zonal[0]
+    bt = np.swapaxes(bases, -1, -2)
+    k, model = space.k, space.curvature
+    if space.is_sphere:
+        c = bt @ axis
+        norm = np.sqrt(_rowdot(c, c))
+        pole = c / np.where(norm > 0.0, norm, 1.0)[:, None]
+        pole[norm == 0.0] = np.eye(c.shape[-1])[0]
+        rows = np.arange(pole.shape[0])
+        i = np.argmin(np.abs(pole), axis=-1)
+        pole_i = pole[rows, i]
+        side = -pole_i[:, None] * pole
+        side[rows, i] += 1.0
+        side /= np.sqrt(1.0 - pole_i * pole_i)[:, None]
+        half_circle, w = _meridian_rule(k, nodes)
+        pts = half_circle @ (np.stack([pole, side], axis=1) @ bt)
+        return sphere_area(k) * _rowdot(f(pts), w)
+    if not math.isfinite(f.decay_scale):
+        raise ValueError("non-integrable field: no finite decay radius")
+    if space.is_euclidean:
+        v = axis - offsets
+        perp = v - (bases @ (bt @ v[..., None]))[..., 0]
+        p, t, d0 = axis - perp, bases[..., 0], np.sqrt(_rowdot(perp, perp))
+    else:
+        c = model.form(bt, axis)
+        proj = bases[..., k] * c[:, k, None] \
+            - (bases[..., :k] @ c[:, :k, None])[..., 0]
+        q = _rowdot(proj, model.signature(proj.shape[-1]) * proj)
+        if np.any(q < 1.0 - 1e-10):
+            raise ValueError(
+                "degenerate projection onto the geodesic subspace")
+        cosh_d0 = np.sqrt(np.maximum(1.0, q))
+        p = proj / cosh_d0[:, None]
+        s = c[:, 0] / cosh_d0
+        t = (bases[..., 0] - s[:, None] * p) / np.sqrt(1.0 + s * s)[:, None]
+        # math.acosh, as in `_zonal_ray_forward`: np.arccosh can differ by
+        # an ulp
+        d0 = np.array([math.acosh(v) for v in cosh_d0.tolist()])
+    length = f.decay_scale + d0 + 0.5
+    x, wx = _unit_radial_rule(nodes)
+    deltas = length[:, None] * x
+    sn = model.sn(deltas)
+    ray = sn[..., None] * t[:, None, :]
+    ray += model.cs(deltas)[..., None] * p[:, None, :]
+    vals = f(ray)
+    if np.any(sphere_area(k - 1) * sn[:, -1] ** (k - 1) * np.abs(vals[:, -1])
+              > 1e-8):
+        raise ValueError("truncation tail too large; field decays too slowly")
+    return sphere_area(k - 1) * length * _rowdot(wx * sn ** (k - 1), vals)

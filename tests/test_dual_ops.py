@@ -11,9 +11,11 @@ from georadon.dual_ops import (DualConfig, Lambda_r, dual_shifted_mc,
                                dual_shifted_mean, l_star_profile,
                                l_tilde_star_profile, weighted_dual_both_sides,
                                z_score)
-from georadon.fields import make_phantom, zonal_field
-from georadon.geometry import (Geodesic, Point, Space, base_point, distance_rho,
-                               g_theta, point, transport_to)
+from georadon.fields import ScalarField, make_phantom, zonal_field
+from georadon.geometry import (Geodesic, Point, Space, _geodesic_frames,
+                               base_point, distance_rho, g_theta,
+                               haar_stabilizer, point, sphere_area,
+                               transport_to)
 from georadon.transforms import radon_forward
 
 EU3 = Space("euclidean", 3, 2)
@@ -306,16 +308,25 @@ def test_dual_mc_matches_per_draw_loop(space, coords, other, r, block,
 @pytest.mark.parametrize("block", BLOCKS)
 def test_weighted_samplers_match_per_draw_loops(block, monkeypatch):
     # R^n: a Haar subspace and a Gaussian offset per draw, weighted by the
-    # inverse proposal density; S^n: a Haar great sphere per draw
+    # inverse proposal density; S^n: a Haar great sphere per draw; H^n: a
+    # uniform rapidity th, then a Haar rotation, per draw, for the geodesic at
+    # distance th from the anchor 0.8 from the base point, weighted by the
+    # rapidity density
     monkeypatch.setattr(dual_ops, "MC_BLOCK", block)
     cfg = DualConfig(mc_samples=200, seed=9, forward_nodes=16, quad_nodes=16)
     a = lambda rho: math.exp(-rho * rho)
-    for space, phantom, coords in [(EU3, "gaussian", [0.2, 0.1, 0.0]),
-                                   (SP2, "even-poly", [0.6, 0.0, 0.8])]:
+    for space, phantom, coords in [
+            (EU3, "gaussian", [0.2, 0.1, 0.0]),
+            (SP2, "even-poly", [0.6, 0.0, 0.8]),
+            (Space("hyperbolic", 3, 1), "radial-hyperbolic",
+             [math.sinh(0.4), 0.0, 0.0, math.cosh(0.4)])]:
         f = make_phantom(space, phantom)
         x = point(space, coords)
         n, k = space.n, space.k
         rng = np.random.default_rng(cfg.seed + 1)
+        if space.is_hyperbolic:
+            th_max = dual_ops._radial_cap(space, f, x, cfg) + 1.0
+            anchor = point(space, [math.sinh(0.8), 0.0, 0.0, math.cosh(0.8)])
         vals = []
         for _ in range(cfg.mc_samples):
             if space.is_euclidean:
@@ -324,10 +335,50 @@ def test_weighted_samplers_match_per_draw_loops(block, monkeypatch):
                 xi = Geodesic(q[:, :k], q[:, k:] @ z)
                 weight = math.exp(0.5 * float(z @ z) / 2.5 ** 2 + 0.5 * (n - k)
                                   * math.log(2.0 * math.pi * 2.5 ** 2))
-            else:
+            elif space.is_sphere:
                 xi = Geodesic(haar_single(n + 1, rng)[:, :k + 1], None)
                 weight = 1.0
+            else:
+                th = th_max * rng.random()
+                basis, _ = _geodesic_frames(space, anchor, th,
+                                            haar_stabilizer(space, rng).matrix)
+                xi = Geodesic(basis, None)
+                weight = sphere_area(n - k - 1) * th_max \
+                    * math.sinh(th) ** (n - k - 1) * math.cosh(th) ** k
             vals.append(weight * radon_forward(space, f, xi, nodes=16)
                         * a(distance_rho(space, x, xi)))
         bs = weighted_dual_both_sides(space, f, a, x, cfg)
         assert (bs.lhs, bs.lhs_stderr) == _mean_stderr(vals)
+
+
+@pytest.mark.parametrize("space,phantom,coords", [
+    (EU2, "gaussian", [0.2, 0.1]),
+    (SP2, "even-poly", [0.6, 0.0, 0.8]),
+    (Space("hyperbolic", 2, 1), "radial-hyperbolic",
+     [math.sinh(0.4), 0.0, math.cosh(0.4)]),
+])
+def test_weighted_dual_evaluates_one_block_at_a_time(space, phantom, coords,
+                                                     monkeypatch):
+    # the left side takes one call of f and one stacked QR per block of
+    # draws, and f never sees more than MC_BLOCK rays of 3 forward_nodes
+    # points: the memory bound of any sample count
+    g = make_phantom(space, phantom)
+    rows = []
+
+    def evaluator(pts):
+        rows.append(pts.size // pts.shape[-1])
+        return g.evaluator(pts)
+    f = ScalarField(evaluator, g.decay_scale, g.zonal, g.name)
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(a, *args, **kwargs):
+        qr_calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    cfg = DualConfig(mc_samples=2 * dual_ops.MC_BLOCK + 100, seed=4,
+                     forward_nodes=16, quad_nodes=16)
+    weighted_dual_both_sides(space, f, lambda rho: math.exp(-rho * rho),
+                             point(space, coords), cfg)
+    assert len(rows) == len(qr_calls) == 3
+    assert max(rows) <= dual_ops.MC_BLOCK * 3 * cfg.forward_nodes

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import haar_single, random_point
-from georadon.geometry import (Point, Rotation, Space, base_point,
-                               center_distance, distance_rho, g_theta, geodesic,
+from georadon.geometry import (Geodesic, Point, Rotation, Space,
+                               _distances_rho, base_point, center_distance, distance_rho,
+                               g_theta, geodesic,
                                geodesic_at_distance, geodesics_at_distance,
                                haar_orthogonal, haar_rotation, haar_stabilizer,
                                point, rotate_geodesic, transport_to)
@@ -111,6 +112,16 @@ def test_geodesic_stack_matches_single_geodesics(space, rng):
         if one.offset is not None:
             assert np.array_equal(xi.offset, one.offset)
         assert distance_rho(space, x, xi) == pytest.approx(0.45, abs=1e-12)
+    # the stacked distances from another point against distance_rho on each
+    # row of the same stack (a basis's memory layout can move the last bit)
+    y = random_point(space, rng)
+    bases = np.stack([xi.basis for xi in stack])
+    offsets = None if stack[0].offset is None else \
+        np.stack([xi.offset for xi in stack])
+    rows = [Geodesic(b, None if offsets is None else offsets[i])
+            for i, b in enumerate(bases)]
+    assert _distances_rho(space, y, bases, offsets).tolist() == \
+        [distance_rho(space, y, xi) for xi in rows]
 
 
 def test_haar_zero_mean():

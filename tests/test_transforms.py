@@ -9,13 +9,15 @@ import georadon.cli as cli
 from conftest import random_point
 from georadon.constants import sphere_area
 from georadon.fields import make_phantom, rotate_field, zonal_field
-from georadon.geometry import (Point, Rotation, Space, base_point, g_theta,
+from georadon.geometry import (Geodesic, Point, Rotation, Space, base_point,
+                               g_theta,
                                geodesic, geodesic_at_distance, haar_rotation,
                                point, rotate_geodesic)
 import georadon.inversion as inversion
 from georadon.inversion import mader_radial_average
 from georadon.numerics import gl_nodes
-from georadon.transforms import radon_forward, spherical_mean, tilde_mean
+from georadon.transforms import (_zonal_forwards, radon_forward,
+                                 spherical_mean, tilde_mean)
 from product_rule import polar_forward, product_mean
 
 EU3 = Space("euclidean", 3, 2)
@@ -477,3 +479,80 @@ def test_sphere_forward_refuses_nodes_past_zonal_rule(capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == \
         "error: zonal rule order must be in [1, 512], got 600\n"
+
+
+def _stack(geodesics):
+    # the (bases, offsets) stacks `_zonal_forwards` takes, and the geodesics
+    # of their rows: a basis's memory layout can move the last bit of a
+    # matrix product, so the reference reads the same rows
+    bases = np.stack([xi.basis for xi in geodesics])
+    offsets = None if geodesics[0].offset is None else \
+        np.stack([xi.offset for xi in geodesics])
+    rows = [Geodesic(b, None if offsets is None else offsets[i])
+            for i, b in enumerate(bases)]
+    return bases, offsets, rows
+
+
+def _degenerate_geodesic(space: Space, f):
+    # R^n: a coordinate k-plane through the axis, so d0 = 0; S^n: a great
+    # k-sphere orthogonal to the axis e_0, so c = 0 and the pole is e_0
+    n, k = space.n, space.k
+    if space.is_euclidean:
+        offset = f.zonal[0].copy()
+        offset[:k] = 0.0
+        return Geodesic(np.eye(n)[:, :k], offset)
+    return Geodesic(np.eye(n + 1)[:, 1:k + 2], None)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "sphere", "hyperbolic"])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (5, 4)])
+def test_zonal_forwards_match_per_geodesic(kind, n, k):
+    # the stacked forward against radon_forward row by row: bit for bit at
+    # (2, 1), which acceptance check 9 and the CLI snapshot run, and within
+    # roundoff elsewhere
+    space = Space(kind, n, k)
+    f = _phantom_for(space) if not (space.is_hyperbolic and k == 4) else \
+        make_phantom(space, "radial-hyperbolic", power=8)
+    x = _off_axis_point(space)
+    geodesics = [geodesic_at_distance(space, x, r, haar_rotation(space, seed))
+                 for seed, r in ((1, 0.0), (2, 0.25), (3, 0.5), (4, 0.8))]
+    if not space.is_hyperbolic:
+        geodesics.append(_degenerate_geodesic(space, f))
+    bases, offsets, rows = _stack(geodesics)
+    want = np.array([radon_forward(space, f, xi, nodes=24) for xi in rows])
+    got = _zonal_forwards(space, f, bases, offsets, nodes=24)
+    if (n, k) == (2, 1):
+        assert got.tolist() == want.tolist()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def _refusal_case(name):
+    # a (space, field, geodesic) triple that radon_forward refuses
+    plane = geodesic_at_distance(EU3, Point(np.zeros(3)), 0.0,
+                                 Rotation(np.eye(3)))
+    if name == "understated-decay":
+        g = make_phantom(EU3, "gaussian")
+        return EU3, zonal_field(EU3, *g.zonal, 1.0, "short"), plane
+    if name == "no-decay":
+        return EU3, make_phantom(EU3, "constant-even"), plane
+    if name == "power-3-on-H^3":
+        space = Space("hyperbolic", 4, 3)
+        xi = geodesic_at_distance(space, _off_axis_point(space), 0.4,
+                                  haar_rotation(space, 2))
+        return space, make_phantom(space, "radial-hyperbolic", power=3), xi
+    # two spacelike columns: the base point projects to 0
+    return HY2, make_phantom(HY2, "radial-hyperbolic"), \
+        Geodesic(np.eye(3)[:, :2], None)
+
+
+@pytest.mark.parametrize("name", ["understated-decay", "no-decay",
+                                  "power-3-on-H^3", "degenerate-projection"])
+def test_zonal_forwards_refuse_as_radon_forward(name):
+    space, f, xi = _refusal_case(name)
+    with pytest.raises(ValueError) as single:
+        radon_forward(space, f, xi, nodes=48)
+    bases, offsets, _ = _stack([xi])
+    with pytest.raises(ValueError) as stacked:
+        _zonal_forwards(space, f, bases, offsets, nodes=48)
+    assert str(stacked.value) == str(single.value)
