@@ -278,9 +278,10 @@ def _mean_stderr(vals):
     return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
 
-# the default block, and a block that splits the draws into many stacks with
-# a shorter last one
-BLOCKS = [dual_ops.MC_BLOCK, 7]
+# a block above every sample count here, so one stack holds all the draws as
+# at the default MC_BLOCK, and a block that splits the draws into many stacks
+# with a shorter last one
+BLOCKS = [4096, 7]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
