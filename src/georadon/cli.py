@@ -359,7 +359,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, ImportError) as exc:
+        # ImportError: the QUADPACK oracle without the scipy extra
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -210,15 +211,21 @@ class _Reduction:
                 out += cj * float(np.dot(wt, mv * tau ** (k - j)))
         return r ** (k + 1) * out
 
+    @cached_property
+    def _odd_nodes(self):
+        # the w-rule of cusp_odd and its r-independent factors, built once
+        # per reconstruction: theta_sinh integrates numerically at k >= 5
+        w, ww = gl_nodes(0.0, 18.0, self.cfg.quad_nodes, panels=3)
+        ch = np.cosh(w)
+        return ww, ch, theta_sinh(self.k, w), np.sinh(w), ch ** (self.k + 2)
+
     def cusp_odd(self, r: float) -> float:
         # int_0^r mtilde(t) t^k Theta(r/t) dt via t = r / cosh(w)
         if r == 0.0:
             return 0.0
-        k = self.k
-        w, ww = gl_nodes(0.0, 18.0, self.cfg.quad_nodes, panels=3)
-        ch = np.cosh(w)
-        vals = self.tilde(r / ch) * theta_sinh(k, w) * np.sinh(w) / ch ** (k + 2)
-        return r ** (k + 1) * float(np.dot(ww, vals))
+        ww, ch, theta, sh, ch_pow = self._odd_nodes
+        vals = self.tilde(r / ch) * theta * sh / ch_pow
+        return r ** (self.k + 1) * float(np.dot(ww, vals))
 
 
 def l_star_profile(space: Space, f: ScalarField, x: Point, rs,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import _sign, c_k_value, theta_poly_coeffs
 
@@ -100,11 +99,30 @@ def _csc_factor(params: KernelParams) -> float:
     return _sign(params.m) * math.pi / math.sin(params.alpha * math.pi)
 
 
+def _digamma(x: float) -> float:
+    # psi(x) for x > 0: the recurrence psi(x) = psi(x + 1) - 1/x up to
+    # x >= 20, then the asymptotic series through the x^-10 term, whose
+    # first omitted term is below 1e-17 there
+    acc = 0.0
+    while x < 20.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (
+        1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
+    return acc + math.log(x) - 0.5 / x - series
+
+
 def phi_at_one(params: KernelParams) -> float:
-    """phi(1), one high-accuracy weighted quadrature per parameter pair."""
-    val, _ = quad(lambda _x: 1.0, -1.0, 1.0, weight="alg-logb",
-                  wvar=(params.alpha, params.beta), limit=400)
-    return float(val)
+    """phi(1) = int (1+xi)^a (1-xi)^b log(1-xi) dxi in closed form.
+
+    1 - xi = 2s turns it into a Beta integral with a digamma factor,
+    2^(a+b+1) B(a+1, b+1) [log 2 + psi(b+1) - psi(a+b+2)]
+    (Gradshteyn-Ryzhik 4.253.1); a + b = m."""
+    a, b, m = params.alpha, params.beta, params.m
+    log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(m + 2.0)
+    return 2.0 ** (m + 1) * math.exp(log_beta) \
+        * (math.log(2.0) + _digamma(b + 1.0) - _digamma(m + 2.0))
 
 
 @lru_cache(maxsize=None)
@@ -189,9 +207,17 @@ def phi_oracle(params: KernelParams, u: float) -> float:
     """Adaptive-quadrature evaluation of the defining integral.
 
     Splits at xi = u; endpoint weights (1+xi)^a, (1-xi)^(m-a) and the log
-    factor are handed to the weighted QUADPACK routines piecewise."""
+    factor are handed to the weighted QUADPACK routines piecewise. scipy is
+    imported here, and only here: it is the `oracle` extra, not a runtime
+    dependency."""
     if u <= 0.0:
         raise ValueError("u must be positive")
+    try:
+        from scipy.integrate import quad
+    except ImportError as exc:
+        raise ImportError(
+            "the QUADPACK oracle needs scipy: install the oracle extra "
+            "(pip install 'georadon[oracle]')") from exc
     a, b = params.alpha, params.beta
     opts = dict(limit=400, epsabs=1e-12, epsrel=1e-12)
 

@@ -128,6 +128,49 @@ def test_lemma_verify_exit_codes(tmp_path):
     assert all(float(line.split(",")[3]) < 1e-7 for line in csv[1:])
 
 
+# runs `georadon.cli` as __main__ with every scipy import failing
+NO_SCIPY = ('import runpy, sys; sys.modules["scipy"] = None; '
+            'sys.argv[0] = "georadon"; '
+            'runpy.run_module("georadon.cli", run_name="__main__")')
+
+
+def run_without_scipy(*args):
+    return subprocess.run([sys.executable, "-c", NO_SCIPY, *args],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("args", [
+    ("constants", "--space", "euclidean", "--n", "3", "--k", "2"),
+    ("psi", "--k", "3", "--num", "8"),
+    ("forward", "--space", "euclidean", "--n", "3", "--k", "2", "--phantom",
+     "gaussian", "--distance", "0.4", "--seed", "3"),
+    ("invert", "--space", "euclidean", "--n", "2", "--k", "1", "--theorem",
+     "1", "--phantom", "gaussian", "--point", "0.3,0"),
+], ids=["constants", "psi", "forward", "invert-odd-k"])
+def test_cli_runs_without_scipy(args):
+    proc = run_without_scipy(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(*args)
+
+
+def test_lemma_verify_without_scipy_names_the_extra():
+    proc = run_without_scipy("lemma-verify", "--alpha", "0.5", "--m", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "scipy" in proc.stderr and "oracle" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, georadon, georadon.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_forward_command():
     out = run_cli("forward", "--space", "sphere", "--n", "2", "--k", "1",
                   "--phantom", "constant-even", "--distance", "0.0")

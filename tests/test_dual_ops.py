@@ -7,6 +7,7 @@ from scipy.integrate import quad
 import georadon.dual_ops as dual_ops
 import georadon.kernels as kernels
 from conftest import haar_single
+from georadon.constants import theta_sinh
 from georadon.dual_ops import (DualConfig, Lambda_r, dual_shifted_mc,
                                dual_shifted_mean, l_star_profile,
                                l_tilde_star_profile, weighted_dual_both_sides,
@@ -16,6 +17,7 @@ from georadon.geometry import (Geodesic, Point, Space, _geodesic_frames,
                                base_point, distance_rho, g_theta,
                                haar_stabilizer, point, sphere_area,
                                transport_to)
+from georadon.numerics import gl_nodes
 from georadon.transforms import radon_forward
 
 EU3 = Space("euclidean", 3, 2)
@@ -195,6 +197,25 @@ def test_profiles_match_single_values():
     f2 = make_phantom(EU2, "gaussian")
     prof2 = l_tilde_star_profile(EU2, f2, Point(np.zeros(2)), rs, CFG)
     assert np.all(np.isfinite(prof2))
+
+
+@pytest.mark.parametrize("k", [5, 7])
+@pytest.mark.parametrize("kind,phantom", [("euclidean", "gaussian"),
+                                          ("sphere", "even-poly"),
+                                          ("hyperbolic", "radial-hyperbolic")])
+def test_cusp_odd_reuses_w_rule_bit_for_bit(kind, phantom, k):
+    # the w-rule factors are built once per reduction; each r must give the
+    # bits of the per-r formula that rebuilt theta_sinh(k, w) every call
+    space = Space(kind, k + 1, k)
+    f = make_phantom(space, phantom)
+    red = dual_ops._Reduction(space, f, base_point(space), CFG,
+                              need_log_moment=False)
+    w, ww = gl_nodes(0.0, 18.0, CFG.quad_nodes, panels=3)
+    ch = np.cosh(w)
+    for r in (0.05, 0.2, 0.45):
+        vals = red.tilde(r / ch) * theta_sinh(k, w) * np.sinh(w) \
+            / ch ** (k + 2)
+        assert red.cusp_odd(r) == r ** (k + 1) * float(np.dot(ww, vals))
 
 
 def test_dual_mean_sphere_matches_literal_reduction():

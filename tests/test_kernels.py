@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from georadon.constants import c_k_value
-from georadon.kernels import (KernelParams, generalized_binomial,
+from georadon.kernels import (KernelParams, _digamma, generalized_binomial,
                               lambda_coeffs, mu_alpha, phi_at_one,
                               phi_closed, phi_oracle, poly_coeffs,
                               psi_k_closed, psi_k_params, psi_poly_coeffs,
@@ -137,6 +137,34 @@ def test_phi_at_one_matches_oracle_limit():
     assert phi_at_one(p) == pytest.approx(phi_oracle(p, 1.0 + 1e-9), abs=1e-6)
 
 
+EULER_GAMMA = 0.57721566490153286
+
+
+def test_digamma_exact_values():
+    assert abs(_digamma(1.0) + EULER_GAMMA) < 1e-15
+    assert abs(_digamma(0.5) + EULER_GAMMA + 2.0 * math.log(2.0)) < 1e-15
+    # the recurrence psi(x + 1) = psi(x) + 1/x across the shift threshold
+    for x in (0.3, 7.5, 19.5, 20.0, 33.25):
+        assert _digamma(x + 1.0) == pytest.approx(_digamma(x) + 1.0 / x,
+                                                  rel=1e-14, abs=1e-14)
+
+
+def test_phi_at_one_matches_quadpack_on_grid():
+    # m = -1..6 with alpha on the 1/40 grid of (-1, m+1), integers excluded
+    worst, pairs = 0.0, 0
+    for m in range(-1, 7):
+        for j in range(-39, 40 * (m + 1)):
+            if j % 40 == 0:
+                continue
+            p = KernelParams(j / 40.0, m)
+            ref = quad(lambda _x: 1.0, -1.0, 1.0, weight="alg-logb",
+                       wvar=(p.alpha, p.beta), limit=400)[0]
+            worst = max(worst, abs(phi_at_one(p) - ref) / abs(ref))
+            pairs += 1
+    assert pairs == 1404
+    assert worst < 1e-12
+
+
 def test_fold_identity():
     # the symmetric-weight phi equals the half-interval log kernel
     k = 3
@@ -149,10 +177,14 @@ def test_fold_identity():
 
 
 def test_psi_1_classical_values():
-    assert psi_k_closed(1, 0.5) == pytest.approx(-math.pi * math.log(2),
-                                                 abs=1e-8)
-    assert psi_k_closed(1, 2.0) == pytest.approx(
-        math.pi * math.log((2 + math.sqrt(3)) / 2), abs=1e-8)
+    # psi_1(u) = int_0^1 log|u^2 - v^2| dv / sqrt(1 - v^2), exact on both
+    # branches; below 1 it is phi(1) alone
+    for u in np.linspace(0.01, 0.99, 25):
+        assert psi_k_closed(1, float(u)) == pytest.approx(
+            -math.pi * math.log(2), rel=1e-14)
+    for u in np.linspace(1.01, 50.0, 60):
+        exact = math.pi * math.log((u + math.sqrt(u * u - 1.0)) / 2.0)
+        assert psi_k_closed(1, float(u)) == pytest.approx(exact, abs=1e-13)
     with pytest.raises(ValueError):
         psi_k_closed(2, 0.5)
 
