@@ -19,14 +19,14 @@ import numpy as np
 
 from .constants import _sign, c_k_value, theta_poly_coeffs, theta_sinh
 from .fields import ScalarField
-from .geometry import (Geodesic, Point, Space, _distances_rho,
-                       _embed_stabilizer, _haar_from_normals, _rowdot,
-                       center_distance, check_distance, g_theta,
-                       geodesics_at_distance, haar_orthogonal, haar_stabilizer,
-                       point, sphere_area, transport_to)
+from .geometry import (Geodesic, Point, Space, _embed_stabilizer,
+                       _haar_from_normals, _rowdot, center_distance,
+                       check_distance, distance_rho, geodesic_at_distance,
+                       haar_orthogonal, haar_stabilizer, point, sphere_area,
+                       transport_to)
 from .kernels import psi_poly_coeffs
 from .numerics import gl_nodes, quad_log_singular
-from .transforms import _zonal_forwards, spherical_mean, tilde_mean
+from .transforms import radon_forward, spherical_mean, tilde_mean
 
 __all__ = [
     "DualConfig",
@@ -89,10 +89,8 @@ def _blocks(total: int):
         yield min(MC_BLOCK, total - start)
 
 
-def _mc_estimate(vals, count: int) -> McEstimate:
-    """Mean and standard error of `count` Monte Carlo values from an
-    iterable."""
-    vals = np.fromiter(vals, dtype=float, count=count)
+def _mc_estimate(vals: np.ndarray) -> McEstimate:
+    """Mean and standard error of an array of Monte Carlo values."""
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
@@ -147,18 +145,24 @@ def dual_shifted_mean(space: Space, f: ScalarField, x: Point, r: float,
     return sphere_area(k - 1) * float(np.dot(wv, vals))
 
 
-def dual_shifted_mc(space: Space, phi: Callable[[Geodesic], float], x: Point,
+def dual_shifted_mc(space: Space, phi: Callable[[Geodesic], object], x: Point,
                     r: float, cfg: DualConfig | None = None) -> McEstimate:
-    """Monte Carlo average of phi over geodesics at distance value r from x:
-    the stabilizer rotations are drawn as stacks of up to MC_BLOCK."""
+    """Monte Carlo average of phi over geodesics at distance value r from x.
+
+    The stabilizer rotations are drawn as stacks of up to MC_BLOCK, and phi
+    is called once per stack with the stacked `Geodesic` of its N draws; it
+    returns their N values, or one value that holds for all of them.
+    """
     cfg = cfg or DualConfig()
     check_distance(space, r)
     rng = np.random.default_rng(cfg.seed)
+
+    def block(count):
+        xi = geodesic_at_distance(space, x, r,
+                                  haar_stabilizer(space, rng, count))
+        return np.broadcast_to(np.asarray(phi(xi), dtype=float), (count,))
     return _mc_estimate(
-        (phi(xi) for count in _blocks(cfg.mc_samples)
-         for xi in geodesics_at_distance(
-             space, x, r, haar_stabilizer(space, rng, count).matrix)),
-        cfg.mc_samples)
+        np.concatenate([block(count) for count in _blocks(cfg.mc_samples)]))
 
 
 class _Reduction:
@@ -308,7 +312,7 @@ def _euclidean_draws(space: Space):
         qs = _haar_from_normals(normals[:, :n * n].reshape(count, n, n))
         zs = _PROPOSAL_STD * normals[:, n * n:]
         log_w = 0.5 * _rowdot(zs, zs) / _PROPOSAL_STD ** 2 - log_norm
-        return (qs[..., :k], (qs[..., k:] @ zs[..., None])[..., 0],
+        return (Geodesic(qs[..., :k], (qs[..., k:] @ zs[..., None])[..., 0]),
                 np.array([math.exp(v) for v in log_w.tolist()]))
     return draws
 
@@ -316,8 +320,9 @@ def _euclidean_draws(space: Space):
 def _sphere_draws(space: Space):
     # normalized invariant measure on the compact submanifold space
     def draws(rng, count):
-        return (haar_orthogonal(space.n + 1, rng, count)[..., :space.k + 1],
-                None, np.ones(count))
+        return (Geodesic(haar_orthogonal(space.n + 1, rng,
+                                         count)[..., :space.k + 1], None),
+                np.ones(count))
     return draws
 
 
@@ -340,16 +345,18 @@ def _hyperbolic_draws(space: Space, x: Point, theta_max: float):
 
     def draws(rng, count):
         normals = np.empty((count, n, n))
-        boosts = np.empty((count, n + 1, n + 1))
-        weights = np.empty(count)
+        cosh, sinh, weights = np.empty((3, count))
         for i in range(count):
             th = theta_max * rng.random()
             normals[i] = rng.standard_normal((n, n))
-            boosts[i] = g_theta(space, -th)
-            nu = math.sinh(th) ** (n - k - 1) * math.cosh(th) ** k
-            weights[i] = sig * theta_max * nu
+            ch, sh = cosh[i], sinh[i] = math.cosh(th), math.sinh(th)
+            weights[i] = sig * theta_max * (sh ** (n - k - 1) * ch ** k)
+        # the boosts g_theta(-th) in (e_1, e_(n+1))
+        boosts = np.tile(np.eye(n + 1), (count, 1, 1))
+        boosts[:, 0, 0] = boosts[:, n, n] = cosh
+        boosts[:, 0, n] = boosts[:, n, 0] = -sinh
         g = _embed_stabilizer(space, _haar_from_normals(normals))
-        return (transport @ g @ boosts)[..., n - k:], None, weights
+        return Geodesic((transport @ g @ boosts)[..., n - k:], None), weights
     return draws
 
 
@@ -360,10 +367,10 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
 
     Left side: Monte Carlo over the submanifold space with an independent
     sampler (never the distance-to-x disintegration). The draws come in
-    blocks of up to MC_BLOCK; each block's geodesics are (bases, offsets)
-    stacks, whose forward transforms take one `transforms._zonal_forwards`
-    call and whose distances to x one stacked product. Only the weight a is
-    called per draw, with a Python float. Right side: quadrature
+    blocks of up to MC_BLOCK, each a stacked `Geodesic` whose forward
+    transforms and distances to x take one call each of `radon_forward`
+    and `distance_rho`. Only the weight a is called per draw, with a Python
+    float. Right side: quadrature
     over the distance theta from x to the geodesic of
     sn^(n-k-1) cs^k a(sn) R*_sn, with sn, cs at theta. `a_breaks` lists
     discontinuities of a (as distance values) for the quadrature split.
@@ -372,8 +379,8 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
     n, k = space.n, space.k
     model = space.curvature
     hi = min(_radial_cap(space, f, x, cfg) + 1.0, model.rho_max)
-    # each sampler draws (bases, offsets, weights) stacks from the invariant
-    # measure
+    # each sampler draws a stacked Geodesic and its weights from the
+    # invariant measure
     if space.is_euclidean:
         submanifold = _euclidean_draws(space)
     elif space.is_sphere:
@@ -383,14 +390,12 @@ def weighted_dual_both_sides(space: Space, f: ScalarField, a, x: Point,
     rng = np.random.default_rng(cfg.seed + 1)
 
     def block(count):
-        bases, offsets, weights = submanifold(rng, count)
-        rho = _distances_rho(space, x, bases, offsets)
-        return weights \
-            * _zonal_forwards(space, f, bases, offsets, cfg.forward_nodes) \
+        xi, weights = submanifold(rng, count)
+        rho = distance_rho(space, x, xi)
+        return weights * radon_forward(space, f, xi, cfg.forward_nodes) \
             * np.array([a(r) for r in rho.tolist()])
     lhs = _mc_estimate(
-        np.concatenate([block(count) for count in _blocks(cfg.mc_samples)]),
-        cfg.mc_samples)
+        np.concatenate([block(count) for count in _blocks(cfg.mc_samples)]))
     edges = sorted({0.0, hi, *(float(model.asn(b)) for b in a_breaks
                                if 0.0 < b < model.sn(hi))})
     rhs = 0.0

@@ -39,7 +39,6 @@ __all__ = [
     "g_theta",
     "transport_to",
     "geodesic_at_distance",
-    "geodesics_at_distance",
     "rotate_geodesic",
 ]
 
@@ -206,6 +205,11 @@ class Geodesic:
     Sphere: k+1 orthonormal columns spanning the cutting linear subspace.
     Hyperbolic: k+1 columns, pseudo-orthonormal for the Lorentz form with the
     timelike column last (Gram = diag(-1, ..., -1, +1)).
+
+    One geodesic has a basis (dim, cols) and, on R^n, an offset (dim,); a
+    stack of N has a basis (N, dim, cols) and offsets (N, dim).
+    `radon_forward` and `distance_rho` take either, and return a float or
+    an (N,) array.
     """
 
     basis: np.ndarray
@@ -275,45 +279,45 @@ def geodesic(space: Space, basis, offset=None) -> Geodesic:
     return Geodesic(b, None)
 
 
-def distance_rho(space: Space, x: Point, xi: Geodesic) -> float:
-    """Distance function: d, sin d, or sinh d of the geodesic distance to xi."""
+def _stack_of(space: Space, xi: Geodesic):
+    """(bases (N, dim, cols), offsets (N, dim) or None, single) of xi, with
+    one geodesic (single true) as a stack of one."""
+    b = xi.basis
+    cols = space.k if space.is_euclidean else space.k + 1
+    if b.ndim not in (2, 3) or b.shape[-2:] != (space.ambient_dim, cols):
+        raise ValueError("geodesic dimension does not match the space")
+    if b.ndim == 3:
+        return b, xi.offset, False
+    return b[None], None if xi.offset is None else xi.offset[None], True
+
+
+def _unstack(values: np.ndarray, single: bool) -> float | np.ndarray:
+    return float(values[0]) if single else values
+
+
+def distance_rho(space: Space, x: Point, xi: Geodesic) -> float | np.ndarray:
+    """Distance function: d, sin d, or sinh d of the geodesic distance to xi;
+    a float for one geodesic, an (N,) array for a stack of N."""
     c = x.coords
     if c.shape != (space.ambient_dim,):
         raise ValueError("point dimension does not match the space")
-    b = xi.basis
-    cols = space.k if space.is_euclidean else space.k + 1
-    if b.shape != (space.ambient_dim, cols):
-        raise ValueError("geodesic dimension does not match the space")
+    bases, offsets, single = _stack_of(space, xi)
+    bt = np.swapaxes(bases, -1, -2)
     if space.is_euclidean:
-        perp = c - b @ (b.T @ c)
-        return float(np.linalg.norm(perp - xi.offset))
+        diff = c - (bases @ (bt @ c)[..., None])[..., 0] - offsets
+        return _unstack(np.sqrt(_rowdot(diff, diff)), single)
     # cs(d)^2 is the squared norm of the projection onto the span of xi's
     # orthonormal columns (timelike last on H^n); sn^2 = (1 - cs^2) / kappa
     model = space.curvature
-    comp = model.form(b.T, c)
-    q = float(model.form(comp, comp))
-    return math.sqrt(max(0.0, (1.0 - q) / model.kappa))
+    comp = model.form(bt, c)
+    q = _rowdot(comp, model.signature(comp.shape[-1]) * comp)
+    return _unstack(np.sqrt(np.maximum(0.0, (1.0 - q) / model.kappa)), single)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the last axes of two broadcastable stacks, through the
     same matmul kernel as a @ b on one pair of vectors."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _distances_rho(space: Space, x: Point, bases: np.ndarray,
-                   offsets: np.ndarray | None) -> np.ndarray:
-    """`distance_rho` from x to each geodesic of a stack: bases
-    (N, dim, cols) and, on R^n, offsets (N, dim); None on S^n and H^n."""
-    c = x.coords
-    bt = np.swapaxes(bases, -1, -2)
-    if space.is_euclidean:
-        diff = c - (bases @ (bt @ c)[..., None])[..., 0] - offsets
-        return np.sqrt(_rowdot(diff, diff))
-    model = space.curvature
-    comp = model.form(bt, c)
-    q = _rowdot(comp, model.signature(comp.shape[-1]) * comp)
-    return np.sqrt(np.maximum(0.0, (1.0 - q) / model.kappa))
 
 
 def center_distance(space: Space, x, y) -> float:
@@ -443,22 +447,20 @@ def geodesic_at_distance(space: Space, x: Point, r: float, g: Rotation) -> Geode
     """Geodesic submanifold at prescribed distance value r from x.
 
     r is the distance function value (sin/sinh of the geodesic distance on the
-    curved models). The rotation g selects the member of the distance sphere.
+    curved models). The rotation g selects the member of the distance sphere;
+    a stack of rotations (N, dim, dim), as `haar_stabilizer` draws with a
+    count, gives the stack of their N geodesics in one product. One rotation
+    is built as a stack of one, so its geodesic is a row of the same product.
     """
-    return geodesics_at_distance(space, x, r, np.asarray(g.matrix)[None])[0]
-
-
-def geodesics_at_distance(space: Space, x: Point, r: float,
-                          g: np.ndarray) -> list[Geodesic]:
-    """`geodesic_at_distance` for each rotation of a stack g (count, dim, dim),
-    built with one stacked product."""
     check_distance(space, r)
     theta = r if space.is_euclidean else \
         math.asin(r) if space.is_sphere else math.asinh(r)
-    bases, offsets = _geodesic_frames(space, x, theta, g)
-    if offsets is None:
-        return [Geodesic(b, None) for b in bases]
-    return [Geodesic(b, u) for b, u in zip(bases, offsets)]
+    m = np.asarray(g.matrix)
+    bases, offsets = _geodesic_frames(space, x, theta,
+                                      m if m.ndim == 3 else m[None])
+    if m.ndim == 3:
+        return Geodesic(bases, offsets)
+    return Geodesic(bases[0], None if offsets is None else offsets[0])
 
 
 def _geodesic_frames(space: Space, x: Point, theta: float, g: np.ndarray):
@@ -483,5 +485,6 @@ def _geodesic_frames(space: Space, x: Point, theta: float, g: np.ndarray):
 
 
 def rotate_geodesic(space: Space, m: np.ndarray, xi: Geodesic) -> Geodesic:
-    offset = None if xi.offset is None else m @ xi.offset
+    """The image m xi of a geodesic or of each geodesic of a stack."""
+    offset = None if xi.offset is None else (m @ xi.offset[..., None])[..., 0]
     return Geodesic(m @ xi.basis, offset)

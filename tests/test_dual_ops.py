@@ -114,6 +114,45 @@ def test_dual_mean_sphere_non_even_field():
     assert abs(z) < 3.0
 
 
+def test_dual_mc_hands_phi_one_stack_per_block():
+    # phi sees each block of draws as one stacked Geodesic of at most
+    # MC_BLOCK rows, and returns their values as one array
+    shapes = []
+
+    def phi(xi):
+        shapes.append(xi.basis.shape)
+        return np.zeros(xi.basis.shape[0])
+    cfg = DualConfig(mc_samples=2 * dual_ops.MC_BLOCK + 100, seed=4)
+    mc = dual_shifted_mc(EU3, phi, Point(np.zeros(3)), 0.5, cfg)
+    assert shapes == [(dual_ops.MC_BLOCK, 3, 2)] * 2 + [(100, 3, 2)]
+    assert tuple(mc) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("space,phantom,coords", [
+    (EU2, "gaussian", [0.2, 0.1]),
+    (SP2, "even-poly", [0.6, 0.0, 0.8]),
+    (Space("hyperbolic", 2, 1), "radial-hyperbolic",
+     [math.sinh(0.4), 0.0, math.cosh(0.4)]),
+])
+def test_dual_mc_forward_evaluates_one_block_at_a_time(space, phantom, coords):
+    # with radon_forward as phi, f takes one call per block of draws and
+    # never sees more than MC_BLOCK rays of 3 nodes points, the memory bound
+    # of the weighted side
+    g = make_phantom(space, phantom)
+    rows = []
+
+    def evaluator(pts):
+        rows.append(pts.size // pts.shape[-1])
+        return g.evaluator(pts)
+    f = ScalarField(evaluator, g.decay_scale, g.zonal, g.name)
+    nodes = 16
+    cfg = DualConfig(mc_samples=2 * dual_ops.MC_BLOCK + 100, seed=4)
+    dual_shifted_mc(space, lambda xi: radon_forward(space, f, xi, nodes=nodes),
+                    point(space, coords), 0.5, cfg)
+    assert len(rows) == 3
+    assert max(rows) <= dual_ops.MC_BLOCK * 3 * nodes
+
+
 def test_dual_mc_sphere_domain():
     with pytest.raises(ValueError):
         dual_shifted_mc(SP2, lambda xi: 1.0, point(SP2, [0, 0, 1.0]), 1.0, CFG)

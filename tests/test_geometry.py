@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import haar_single, random_point
-from georadon.geometry import (Geodesic, Point, Rotation, Space,
-                               _distances_rho, base_point, center_distance, distance_rho,
-                               g_theta, geodesic,
-                               geodesic_at_distance, geodesics_at_distance,
+from georadon.geometry import (Geodesic, Point, Rotation, Space, base_point,
+                               center_distance, distance_rho, g_theta,
+                               geodesic, geodesic_at_distance,
                                haar_orthogonal, haar_rotation, haar_stabilizer,
                                point, rotate_geodesic, transport_to)
 
@@ -103,25 +102,40 @@ def test_haar_stack_matches_single_draws(dim):
                                    Space("hyperbolic", 4, 2)])
 def test_geodesic_stack_matches_single_geodesics(space, rng):
     x = random_point(space, rng)
-    g = haar_stabilizer(space, np.random.default_rng(8), 50).matrix
-    stack = geodesics_at_distance(space, x, 0.45, g)
-    for m, xi in zip(g, stack):
+    g = haar_stabilizer(space, np.random.default_rng(8), 50)
+    stack = geodesic_at_distance(space, x, 0.45, g)
+    dim, cols = space.ambient_dim, space.k + (not space.is_euclidean)
+    assert stack.basis.shape == (50, dim, cols)
+    assert (stack.offset is None) == (not space.is_euclidean)
+    for i, m in enumerate(g.matrix):
         one = geodesic_at_distance(space, x, 0.45, Rotation(m))
-        assert np.array_equal(xi.basis, one.basis)
-        assert (xi.offset is None) == (one.offset is None)
+        assert np.array_equal(stack.basis[i], one.basis)
         if one.offset is not None:
-            assert np.array_equal(xi.offset, one.offset)
-        assert distance_rho(space, x, xi) == pytest.approx(0.45, abs=1e-12)
+            assert np.array_equal(stack.offset[i], one.offset)
+    np.testing.assert_allclose(distance_rho(space, x, stack), 0.45,
+                               rtol=0.0, atol=1e-12)
     # the stacked distances from another point against distance_rho on each
     # row of the same stack (a basis's memory layout can move the last bit)
     y = random_point(space, rng)
-    bases = np.stack([xi.basis for xi in stack])
-    offsets = None if stack[0].offset is None else \
-        np.stack([xi.offset for xi in stack])
-    rows = [Geodesic(b, None if offsets is None else offsets[i])
-            for i, b in enumerate(bases)]
-    assert _distances_rho(space, y, bases, offsets).tolist() == \
+    rows = [Geodesic(b, None if stack.offset is None else stack.offset[i])
+            for i, b in enumerate(stack.basis)]
+    assert distance_rho(space, y, stack).tolist() == \
         [distance_rho(space, y, xi) for xi in rows]
+
+
+@pytest.mark.parametrize("space,basis", [
+    # a line on R^3 with k = 2, and a great circle on S^3 with k = 2
+    (Space("euclidean", 3, 2), np.eye(3)[:, :1]),
+    (Space("sphere", 3, 2), np.eye(4)[:, :2]),
+])
+def test_distance_refuses_a_geodesic_of_the_wrong_shape(space, basis):
+    offset = np.zeros(space.ambient_dim) if space.is_euclidean else None
+    x = base_point(space)
+    for xi in (Geodesic(basis, offset),
+               Geodesic(basis[None], None if offset is None else offset[None])):
+        with pytest.raises(ValueError, match="geodesic dimension does not "
+                                             "match the space"):
+            distance_rho(space, x, xi)
 
 
 def test_haar_zero_mean():
@@ -182,6 +196,14 @@ def test_isometry_invariance(space, rng):
         d1 = distance_rho(space, Point(m @ x.coords),
                           rotate_geodesic(space, m, xi))
         assert d1 == pytest.approx(d0, abs=1e-10)
+    # a stack of as many geodesics as the ambient dimension, whose offsets
+    # (N, dim) on R^n are rotated row by row
+    stack = geodesic_at_distance(space, x, r, haar_stabilizer(
+        space, np.random.default_rng(3), space.ambient_dim))
+    np.testing.assert_allclose(
+        distance_rho(space, Point(m @ x.coords),
+                     rotate_geodesic(space, m, stack)),
+        distance_rho(space, x, stack), rtol=0.0, atol=1e-10)
 
 
 def test_boost_preserves_hyperboloid():

@@ -16,8 +16,7 @@ from georadon.geometry import (Geodesic, Point, Rotation, Space, base_point,
 import georadon.inversion as inversion
 from georadon.inversion import mader_radial_average
 from georadon.numerics import gl_nodes
-from georadon.transforms import (_zonal_forwards, radon_forward,
-                                 spherical_mean, tilde_mean)
+from georadon.transforms import radon_forward, spherical_mean, tilde_mean
 from product_rule import polar_forward, product_mean
 
 EU3 = Space("euclidean", 3, 2)
@@ -482,15 +481,15 @@ def test_sphere_forward_refuses_nodes_past_zonal_rule(capsys):
 
 
 def _stack(geodesics):
-    # the (bases, offsets) stacks `_zonal_forwards` takes, and the geodesics
-    # of their rows: a basis's memory layout can move the last bit of a
-    # matrix product, so the reference reads the same rows
+    # one stacked Geodesic of the given ones, and its rows each as a
+    # geodesic of its own: a basis's memory layout can move the last bit of
+    # a matrix product, so the reference reads the same rows
     bases = np.stack([xi.basis for xi in geodesics])
     offsets = None if geodesics[0].offset is None else \
         np.stack([xi.offset for xi in geodesics])
     rows = [Geodesic(b, None if offsets is None else offsets[i])
             for i, b in enumerate(bases)]
-    return bases, offsets, rows
+    return Geodesic(bases, offsets), rows
 
 
 def _degenerate_geodesic(space: Space, f):
@@ -507,9 +506,8 @@ def _degenerate_geodesic(space: Space, f):
 @pytest.mark.parametrize("kind", ["euclidean", "sphere", "hyperbolic"])
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (5, 4)])
 def test_zonal_forwards_match_per_geodesic(kind, n, k):
-    # the stacked forward against radon_forward row by row: bit for bit at
-    # (2, 1), which acceptance check 9 and the CLI snapshot run, and within
-    # roundoff elsewhere
+    # radon_forward on a stack of geodesics against each row alone, which
+    # it takes as a stack of one: bit for bit
     space = Space(kind, n, k)
     f = _phantom_for(space) if not (space.is_hyperbolic and k == 4) else \
         make_phantom(space, "radial-hyperbolic", power=8)
@@ -518,13 +516,11 @@ def test_zonal_forwards_match_per_geodesic(kind, n, k):
                  for seed, r in ((1, 0.0), (2, 0.25), (3, 0.5), (4, 0.8))]
     if not space.is_hyperbolic:
         geodesics.append(_degenerate_geodesic(space, f))
-    bases, offsets, rows = _stack(geodesics)
-    want = np.array([radon_forward(space, f, xi, nodes=24) for xi in rows])
-    got = _zonal_forwards(space, f, bases, offsets, nodes=24)
-    if (n, k) == (2, 1):
-        assert got.tolist() == want.tolist()
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    stack, rows = _stack(geodesics)
+    got = radon_forward(space, f, stack, nodes=24)
+    assert got.shape == (len(rows),)
+    assert got.tolist() == [radon_forward(space, f, xi, nodes=24)
+                            for xi in rows]
 
 
 def _refusal_case(name):
@@ -549,10 +545,30 @@ def _refusal_case(name):
 @pytest.mark.parametrize("name", ["understated-decay", "no-decay",
                                   "power-3-on-H^3", "degenerate-projection"])
 def test_zonal_forwards_refuse_as_radon_forward(name):
+    # a stack that holds the refused geodesic among accepted ones is refused
+    # with the same message as the geodesic alone
     space, f, xi = _refusal_case(name)
     with pytest.raises(ValueError) as single:
         radon_forward(space, f, xi, nodes=48)
-    bases, offsets, _ = _stack([xi])
+    accepted = geodesic_at_distance(space, base_point(space), 0.3,
+                                    haar_rotation(space, 1))
+    stack, _ = _stack([accepted, xi, accepted])
     with pytest.raises(ValueError) as stacked:
-        _zonal_forwards(space, f, bases, offsets, nodes=48)
+        radon_forward(space, f, stack, nodes=48)
     assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("space,basis", [
+    # a line on R^3 with k = 2, whose integral would be the plane's pi, and
+    # a great circle on S^3 with k = 2
+    (EU3, np.eye(3)[:, :1]),
+    (Space("sphere", 3, 2), np.eye(4)[:, :2]),
+])
+def test_forward_refuses_a_geodesic_of_the_wrong_shape(space, basis):
+    f = _phantom_for(space)
+    offset = np.zeros(space.ambient_dim) if space.is_euclidean else None
+    for xi in (Geodesic(basis, offset),
+               Geodesic(basis[None], None if offset is None else offset[None])):
+        with pytest.raises(ValueError, match="geodesic dimension does not "
+                                             "match the space"):
+            radon_forward(space, f, xi)
